@@ -9,8 +9,11 @@ namespace lsbench {
 // lsbench-deepcheck: allow(hot-alloc, hot-throw)
 void EventSink::RecordSlow(const OpEvent& event) {
   // Only reached when Reserve undersized the arena (e.g. retries exceeding
-  // the per-worker headroom). Doubling keeps repeat spills amortized.
-  events_.reserve(std::max<size_t>(events_.size() * 2, 64));
+  // the per-worker headroom). Growing only when full, doubling capacity,
+  // keeps repeat spills amortized.
+  if (events_.size() == events_.capacity()) {
+    events_.reserve(std::max<size_t>(events_.capacity() * 2, 64));
+  }
   events_.push_back(event);
   used_ = events_.size();
 }

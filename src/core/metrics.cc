@@ -157,17 +157,27 @@ std::vector<MultiBand> BuildMultiBands(
   return bands;
 }
 
+namespace {
+
+/// CalibrateSla over already-gathered latencies.
+int64_t CalibrateSlaFromLatencies(std::vector<double> latencies,
+                                  double percentile, double margin) {
+  if (latencies.empty()) return 1000000;  // 1 ms fallback.
+  const double p = Quantile(std::move(latencies), percentile);
+  const double threshold = std::max(1.0, p * margin);
+  return static_cast<int64_t>(threshold);
+}
+
+}  // namespace
+
 int64_t CalibrateSla(const EventStream& events, double percentile,
                      double margin) {
-  if (events.empty()) return 1000000;  // 1 ms fallback.
   std::vector<double> latencies;
   latencies.reserve(events.size());
   for (const OpEvent& e : events) {
     latencies.push_back(static_cast<double>(e.latency_nanos));
   }
-  const double p = Quantile(std::move(latencies), percentile);
-  const double threshold = std::max(1.0, p * margin);
-  return static_cast<int64_t>(threshold);
+  return CalibrateSlaFromLatencies(std::move(latencies), percentile, margin);
 }
 
 MetricsOptions MetricsOptions::FromSpec(const RunSpec& spec) {
@@ -252,12 +262,21 @@ RunMetrics ComputeRunMetrics(const EventStream& events,
   // SLA threshold: fixed or calibrated on the first phase's events.
   int64_t sla = options.sla_nanos;
   if (sla <= 0) {
-    EventStream first_phase;
+    // Gather only the first phase's latencies: no event copies.
+    size_t first_phase_ops = 0;
     for (const OpEvent& e : events) {
-      if (e.phase == 0) first_phase.push_back(e);
+      if (e.phase == 0) ++first_phase_ops;
     }
-    sla = CalibrateSla(first_phase, options.sla_auto_percentile,
-                       options.sla_auto_margin);
+    std::vector<double> latencies;
+    latencies.reserve(first_phase_ops);
+    for (const OpEvent& e : events) {
+      if (e.phase == 0) {
+        latencies.push_back(static_cast<double>(e.latency_nanos));
+      }
+    }
+    sla = CalibrateSlaFromLatencies(std::move(latencies),
+                                    options.sla_auto_percentile,
+                                    options.sla_auto_margin);
   }
   metrics.sla_nanos = sla;
 

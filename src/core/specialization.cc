@@ -20,7 +20,7 @@ SpecializationReport BuildSpecializationReport(
   const PhaseSpec& base_phase = spec.phases[options.baseline_phase];
   const Dataset& base_dataset = spec.datasets[base_phase.dataset_index];
   const std::vector<double> base_keys =
-      Subsample(base_dataset.NormalizedKeys(), options.ks_sample);
+      base_dataset.NormalizedKeys(options.ks_sample);
   const WorkloadSignature base_signature = ComputePhaseSignature(
       base_dataset, base_phase, options.similarity_sample, spec.seed + 17);
 
@@ -36,9 +36,7 @@ SpecializationReport BuildSpecializationReport(
     entry.holdout = phase.holdout;
 
     entry.data_ks =
-        KolmogorovSmirnov(base_keys,
-                          Subsample(dataset.NormalizedKeys(),
-                                    options.ks_sample))
+        KolmogorovSmirnov(base_keys, dataset.NormalizedKeys(options.ks_sample))
             .statistic;
     const WorkloadSignature sig = ComputePhaseSignature(
         dataset, phase, options.similarity_sample, spec.seed + 17);

@@ -1,8 +1,10 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <unordered_set>
 
+#include "stats/similarity.h"
 #include "util/assert.h"
 
 namespace lsbench {
@@ -16,6 +18,19 @@ std::vector<double> Dataset::NormalizedKeys() const {
   return out;
 }
 
+std::vector<double> Dataset::NormalizedKeys(size_t max_n) const {
+  if (keys.size() <= max_n || max_n == 0) return NormalizedKeys();
+  std::vector<double> out;
+  out.reserve(max_n);
+  const double scale =
+      domain_max > 0 ? 1.0 / static_cast<double>(domain_max) : 1.0;
+  for (size_t i = 0; i < max_n; ++i) {
+    const uint64_t k = keys[SubsampleIndex(i, keys.size(), max_n)];
+    out.push_back(static_cast<double>(k) * scale);
+  }
+  return out;
+}
+
 Dataset GenerateDataset(const UnitDistribution& dist,
                         const DatasetOptions& options) {
   LSBENCH_ASSERT(options.num_keys > 0);
@@ -26,17 +41,27 @@ Dataset GenerateDataset(const UnitDistribution& dist,
   ds.seed = options.seed;
 
   Rng rng(options.seed);
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(options.num_keys * 2);
   const double scale = static_cast<double>(options.domain_max);
-  // The unit sample is < 1 so the scaled key is < domain_max.
-  while (seen.size() < options.num_keys) {
-    const double u = dist.Sample(&rng);
-    const uint64_t key = static_cast<uint64_t>(u * scale);
-    seen.insert(key);
+  std::vector<uint64_t>& keys = ds.keys;
+  keys.reserve(options.num_keys);
+  // Draw the shortfall as one batch, sort it, merge it into the distinct
+  // keys so far and drop duplicates; repeat until num_keys are distinct.
+  // A draw adds at most one distinct key, so no round overshoots the draw
+  // prefix at which a per-draw membership check would have stopped: the
+  // key set equals the first num_keys distinct draws of the stream.
+  while (keys.size() < options.num_keys) {
+    const size_t distinct = keys.size();
+    const size_t shortfall = options.num_keys - distinct;
+    for (size_t i = 0; i < shortfall; ++i) {
+      // The unit sample is < 1 so the scaled key is < domain_max.
+      const double u = dist.Sample(&rng);
+      keys.push_back(static_cast<uint64_t>(u * scale));
+    }
+    const auto mid = keys.begin() + static_cast<std::ptrdiff_t>(distinct);
+    std::sort(mid, keys.end());
+    std::inplace_merge(keys.begin(), mid, keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   }
-  ds.keys.assign(seen.begin(), seen.end());
-  std::sort(ds.keys.begin(), ds.keys.end());
   return ds;
 }
 

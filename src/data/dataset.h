@@ -23,6 +23,10 @@ struct Dataset {
 
   /// Keys normalized into [0, 1) — the representation KS/MMD consume.
   std::vector<double> NormalizedKeys() const;
+
+  /// Equals Subsample(NormalizedKeys(), max_n) (stats/similarity.h), but
+  /// normalizes only the picked keys instead of the whole key set.
+  std::vector<double> NormalizedKeys(size_t max_n) const;
 };
 
 /// Options for dataset generation.

@@ -18,28 +18,34 @@ void DeltaBuffer::Put(Key key, Value value) {
 
 void DeltaBuffer::Delete(Key key) { entries_[key] = Entry{true, 0}; }
 
-std::vector<KeyValue> DeltaBuffer::MergeWith(
-    const std::vector<KeyValue>& static_pairs) const {
-  std::vector<KeyValue> merged;
-  merged.reserve(static_pairs.size() + entries_.size());
-  auto sit = static_pairs.begin();
-  auto dit = entries_.begin();
-  while (sit != static_pairs.end() || dit != entries_.end()) {
-    if (dit == entries_.end() ||
-        (sit != static_pairs.end() && sit->first < dit->first)) {
-      merged.push_back(*sit);
-      ++sit;
-      continue;
+void DeltaBuffer::MergeInto(const std::vector<Key>& static_keys,
+                            const std::vector<Value>& static_values,
+                            std::vector<Key>* out_keys,
+                            std::vector<Value>* out_values) const {
+  out_keys->clear();
+  out_values->clear();
+  out_keys->reserve(static_keys.size() + entries_.size());
+  out_values->reserve(static_keys.size() + entries_.size());
+  // Copy each static run between consecutive delta keys in bulk; the delta
+  // entry then replaces (or, as a tombstone, drops) an equal static key.
+  const auto keys_begin = static_keys.begin();
+  const auto values_begin = static_values.begin();
+  auto si = keys_begin;
+  for (const auto& [key, entry] : entries_) {
+    const auto run_end = std::lower_bound(si, static_keys.end(), key);
+    out_keys->insert(out_keys->end(), si, run_end);
+    out_values->insert(out_values->end(), values_begin + (si - keys_begin),
+                       values_begin + (run_end - keys_begin));
+    si = run_end;
+    if (si != static_keys.end() && *si == key) ++si;  // Shadowed.
+    if (!entry.tombstone) {
+      out_keys->push_back(key);
+      out_values->push_back(entry.value);
     }
-    if (sit != static_pairs.end() && sit->first == dit->first) {
-      ++sit;  // Delta shadows the static entry.
-    }
-    if (!dit->second.tombstone) {
-      merged.emplace_back(dit->first, dit->second.value);
-    }
-    ++dit;
   }
-  return merged;
+  out_keys->insert(out_keys->end(), si, static_keys.end());
+  out_values->insert(out_values->end(), values_begin + (si - keys_begin),
+                     static_values.end());
 }
 
 size_t DeltaBuffer::MergeScan(const std::vector<Key>& static_keys,

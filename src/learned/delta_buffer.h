@@ -37,11 +37,17 @@ class DeltaBuffer {
     return entries_.size() * (sizeof(Key) + sizeof(Value) + 4 * sizeof(void*));
   }
 
-  /// Merges the static run `static_pairs` (sorted, tombstone-free) with the
-  /// buffer into a fresh sorted run with tombstones applied. Used at
-  /// retrain time.
-  std::vector<KeyValue> MergeWith(
-      const std::vector<KeyValue>& static_pairs) const;
+  /// Merges the static run given by parallel sorted, tombstone-free
+  /// `static_keys`/`static_values` with the buffer into `out_keys` /
+  /// `out_values` (cleared first), with delta entries shadowing static ones
+  /// and tombstones applied. The outputs keep their capacity, so a caller
+  /// that swaps them with its static arrays and passes the old arrays back
+  /// on the next merge reallocates only when the run outgrows them. Used
+  /// at retrain time.
+  void MergeInto(const std::vector<Key>& static_keys,
+                 const std::vector<Value>& static_values,
+                 std::vector<Key>* out_keys,
+                 std::vector<Value>* out_values) const;
 
   /// Merge-scan: appends up to `limit` pairs with key >= `from` to `out`,
   /// combining the buffer with a static sorted view given by parallel

@@ -35,6 +35,9 @@ class PgmIndex final : public KvIndex {
 
   size_t delta_size() const { return delta_.size(); }
   size_t static_size() const { return keys_.size(); }
+  /// The static (trained) keys, ascending. After Retrain the delta is
+  /// empty, so these are exactly the live keys.
+  const std::vector<Key>& static_keys() const { return keys_; }
   size_t segment_count() const { return segments_.size(); }
   uint32_t epsilon() const { return epsilon_; }
 
@@ -57,6 +60,10 @@ class PgmIndex final : public KvIndex {
   uint32_t epsilon_;
   std::vector<Key> keys_;
   std::vector<Value> values_;
+  /// Retrain merges into these and swaps them with keys_/values_, so
+  /// later retrains reuse the previous static arrays' capacity.
+  std::vector<Key> spare_keys_;
+  std::vector<Value> spare_values_;
   std::vector<Segment> segments_;
   DeltaBuffer delta_;
   size_t live_count_ = 0;

@@ -44,6 +44,9 @@ class RmiIndex final : public KvIndex {
 
   size_t delta_size() const { return delta_.size(); }
   size_t static_size() const { return keys_.size(); }
+  /// The static (trained) keys, ascending. After Retrain the delta is
+  /// empty, so these are exactly the live keys.
+  const std::vector<Key>& static_keys() const { return keys_; }
 
   /// Mean/max of the per-leaf maximum position errors — the model quality
   /// signal the adaptability experiments watch degrade under drift.
@@ -68,6 +71,10 @@ class RmiIndex final : public KvIndex {
   RmiOptions options_;
   std::vector<Key> keys_;
   std::vector<Value> values_;
+  /// Retrain merges into these and swaps them with keys_/values_, so
+  /// later retrains reuse the previous static arrays' capacity.
+  std::vector<Key> spare_keys_;
+  std::vector<Value> spare_values_;
   LinearModel root_;
   std::vector<LinearModel> leaf_models_;
   std::vector<uint32_t> leaf_errors_;

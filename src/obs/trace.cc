@@ -20,9 +20,11 @@ bool SpanBefore(const TraceSpan& a, const TraceSpan& b) {
 
 // lsbench-deepcheck: allow(hot-alloc, hot-throw)
 void Tracer::RecordSlow(const TraceSpan& span) {
-  // Only reached when Reserve undersized the arena. Doubling keeps repeat
-  // spills amortized.
-  spans_.reserve(std::max<size_t>(spans_.size() * 2, 64));
+  // Only reached when Reserve undersized the arena. Growing only when full,
+  // doubling capacity, keeps repeat spills amortized.
+  if (spans_.size() == spans_.capacity()) {
+    spans_.reserve(std::max<size_t>(spans_.capacity() * 2, 64));
+  }
   spans_.push_back(span);
   used_ = spans_.size();
 }

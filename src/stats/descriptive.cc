@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <sstream>
 
 
@@ -64,8 +65,21 @@ double QuantileSorted(const std::vector<double>& sorted, double q) {
 }
 
 double Quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  return QuantileSorted(values, q);
+  if (values.empty()) return 0.0;
+  // The two order statistics QuantileSorted interpolates between, found by
+  // selection: nth_element places the lo-th smallest at `lo` with every
+  // element after it >= it, so the (lo+1)-th smallest is the least of those.
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  const double lo_value = *lo_it;
+  const double hi_value = lo + 1 < values.size()
+                              ? *std::min_element(lo_it + 1, values.end())
+                              : lo_value;
+  const double frac = pos - static_cast<double>(lo);
+  return lo_value + frac * (hi_value - lo_value);
 }
 
 std::string BoxPlotSummary::ToString() const {

@@ -35,7 +35,9 @@ class StreamingStats {
 };
 
 /// Exact quantile of a sample using linear interpolation between order
-/// statistics (type-7, the numpy/R default). `q` in [0, 1]. Sorts a copy.
+/// statistics (type-7, the numpy/R default). `q` in [0, 1]. Selects the two
+/// order statistics in a copy (no full sort); bit-identical to sorting and
+/// calling QuantileSorted.
 double Quantile(std::vector<double> values, double q);
 
 /// Quantile over already-sorted data (no copy).

@@ -142,10 +142,8 @@ std::vector<double> Subsample(const std::vector<double>& values,
   if (values.size() <= max_n || max_n == 0) return values;
   std::vector<double> out;
   out.reserve(max_n);
-  const double stride =
-      static_cast<double>(values.size()) / static_cast<double>(max_n);
   for (size_t i = 0; i < max_n; ++i) {
-    out.push_back(values[static_cast<size_t>(static_cast<double>(i) * stride)]);
+    out.push_back(values[SubsampleIndex(i, values.size(), max_n)]);
   }
   return out;
 }

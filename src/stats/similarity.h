@@ -42,6 +42,13 @@ double WeightedJaccard(const std::vector<uint64_t>& keys_a,
 /// using a fixed stride; preserves distribution shape for KS/MMD inputs.
 std::vector<double> Subsample(const std::vector<double>& values, size_t max_n);
 
+/// Index of Subsample's `i`-th pick out of `n` values when `n > max_n`, for
+/// callers that subsample a sequence they do not want to materialize.
+inline size_t SubsampleIndex(size_t i, size_t n, size_t max_n) {
+  const double stride = static_cast<double>(n) / static_cast<double>(max_n);
+  return static_cast<size_t>(static_cast<double>(i) * stride);
+}
+
 /// The Φ dissimilarity function of Fig. 1a: a convex combination of the data
 /// KS statistic and (1 - workload Jaccard). Both terms live in [0, 1], so
 /// Φ = 0 means "identical to baseline" and Φ = 1 "maximally different".

@@ -151,6 +151,10 @@ class LearnedKvSystem final : public KvSystemBase {
 
   uint64_t retrain_events() const { return retrain_events_; }
   size_t delta_size() const;
+  /// The index's static keys, ascending. Train and every retrain merge the
+  /// delta away first, so right after either these are exactly the live
+  /// keys — what the estimator and the drift reference are fitted on.
+  const std::vector<Key>& TrainingKeys() const;
 
  protected:
   KvIndex* index() override;
@@ -161,7 +165,6 @@ class LearnedKvSystem final : public KvSystemBase {
   void MaybeRetrain();
   /// Synchronous retrain: refits index models and the estimator.
   void RetrainNow();
-  std::vector<Key> CurrentKeysSnapshot() const;
 
   LearnedSystemOptions options_;
   RealClock default_clock_;

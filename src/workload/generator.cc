@@ -56,8 +56,11 @@ OperationGenerator::OperationGenerator(const Dataset* dataset,
 
 // lsbench-deepcheck: allow(hot-alloc, hot-throw)
 void OperationGenerator::AppendInsertedKeySlow(Key key) {
-  inserted_keys_.reserve(
-      std::max<size_t>(inserted_keys_.size() * 2, 64));
+  // Grow only when full, doubling capacity, so repeat spills stay amortized.
+  if (inserted_keys_.size() == inserted_keys_.capacity()) {
+    inserted_keys_.reserve(
+        std::max<size_t>(inserted_keys_.capacity() * 2, 64));
+  }
   inserted_keys_.push_back(key);
   inserted_count_ = inserted_keys_.size();
 }

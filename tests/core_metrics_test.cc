@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/metrics.h"
+#include "stats/descriptive.h"
+#include "util/random.h"
 
 namespace lsbench {
 namespace {
@@ -247,6 +250,44 @@ TEST(RunMetricsTest, AutoSlaCalibrationUsesPhaseZero) {
               0.1 * kMilli);
   EXPECT_EQ(m.phases[0].sla_violations, 0u);
   EXPECT_EQ(m.phases[1].sla_violations, 200u);  // All of phase 1 violates.
+}
+
+TEST(RunMetricsTest, AutoSlaIsTheExactPhaseZeroOrderStatistic) {
+  // Phase-0 events interleaved with later phases (as a multi-worker merge
+  // leaves them), with duplicate-heavy latencies.
+  Rng rng(77);
+  EventStream events;
+  std::vector<double> phase0_latencies;
+  for (int i = 0; i < 3000; ++i) {
+    OpEvent e;
+    e.timestamp_nanos = i * 1000;
+    e.phase = static_cast<int32_t>(rng.NextBounded(3));
+    e.latency_nanos =
+        1000 + static_cast<int64_t>(rng.NextBounded(50)) * 137 +
+        (rng.NextBounded(100) == 0 ? 5 * kMilli : 0);
+    e.ok = true;
+    if (e.phase == 0) {
+      phase0_latencies.push_back(static_cast<double>(e.latency_nanos));
+    }
+    events.push_back(e);
+  }
+  std::vector<PhaseBoundary> boundaries(3);
+  for (int32_t p = 0; p < 3; ++p) boundaries[p].phase = p;
+  std::sort(phase0_latencies.begin(), phase0_latencies.end());
+  for (double percentile : {0.5, 0.9, 0.99, 0.999}) {
+    for (double margin : {1.0, 1.5, 2.0}) {
+      MetricsOptions options;
+      options.sla_nanos = 0;
+      options.sla_auto_percentile = percentile;
+      options.sla_auto_margin = margin;
+      const RunMetrics m = ComputeRunMetrics(events, boundaries, options);
+      // The historical calibration: fully sort phase 0, interpolate.
+      const int64_t expected = static_cast<int64_t>(std::max(
+          1.0, QuantileSorted(phase0_latencies, percentile) * margin));
+      EXPECT_EQ(m.sla_nanos, expected)
+          << "percentile " << percentile << " margin " << margin;
+    }
+  }
 }
 
 TEST(RunMetricsTest, EmptyRun) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/distribution.h"
@@ -115,6 +118,117 @@ TEST(DatasetTest, ExactSizeSortedUnique) {
   const std::set<Key> unique(ds.keys.begin(), ds.keys.end());
   EXPECT_EQ(unique.size(), ds.keys.size());
   for (Key k : ds.keys) EXPECT_LT(k, options.domain_max);
+}
+
+/// The historical generator, kept as the differential oracle: one hash-set
+/// membership check per draw, stopping at the first draw that makes
+/// num_keys distinct keys.
+std::vector<Key> OracleDatasetKeys(const UnitDistribution& dist,
+                                   const DatasetOptions& options) {
+  Rng rng(options.seed);
+  std::unordered_set<uint64_t> seen;
+  seen.reserve(options.num_keys * 2);
+  const double scale = static_cast<double>(options.domain_max);
+  while (seen.size() < options.num_keys) {
+    const double u = dist.Sample(&rng);
+    seen.insert(static_cast<uint64_t>(u * scale));
+  }
+  std::vector<Key> keys(seen.begin(), seen.end());
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+std::vector<std::unique_ptr<UnitDistribution>> EveryDistributionKind() {
+  std::vector<std::unique_ptr<UnitDistribution>> dists;
+  dists.push_back(MakeUniform());
+  dists.push_back(MakeGaussian(0.5, 0.1));
+  dists.push_back(MakeLognormal(0.0, 1.0));
+  dists.push_back(MakePareto(1.5));
+  dists.push_back(MakeClustered(5, 0.02, 3));
+  std::vector<std::unique_ptr<UnitDistribution>> components;
+  components.push_back(MakeGaussian(0.2, 0.01));
+  components.push_back(MakeUniform());
+  dists.push_back(std::make_unique<MixtureUnit>(std::move(components),
+                                                std::vector<double>{0.7, 0.3}));
+  return dists;
+}
+
+TEST(DatasetTest, MatchesHashSetOracleForEveryKind) {
+  const auto dists = EveryDistributionKind();
+  // Blend borrows two of the kinds above.
+  const BlendUnit blend(dists[0].get(), dists[4].get(), 0.35);
+  std::vector<const UnitDistribution*> kinds;
+  for (const auto& d : dists) kinds.push_back(d.get());
+  kinds.push_back(&blend);
+  for (const UnitDistribution* dist : kinds) {
+    for (uint64_t seed : {1u, 42u, 9001u}) {
+      for (size_t num_keys : {1u, 2u, 97u, 5000u}) {
+        // The smaller domain makes duplicates, and so refill rounds,
+        // common for the skewed kinds.
+        for (uint64_t domain_max : {uint64_t{1} << 48, uint64_t{1} << 24}) {
+          const DatasetOptions options{num_keys, domain_max, seed};
+          ASSERT_EQ(GenerateDataset(*dist, options).keys,
+                    OracleDatasetKeys(*dist, options))
+              << dist->name() << " seed=" << seed << " n=" << num_keys
+              << " domain=" << domain_max;
+        }
+      }
+    }
+  }
+}
+
+/// Forwards to `inner`, counting draws.
+class CountingUnit final : public UnitDistribution {
+ public:
+  explicit CountingUnit(const UnitDistribution* inner) : inner_(inner) {}
+  double Sample(Rng* rng) const override {
+    ++draws_;
+    return inner_->Sample(rng);
+  }
+  std::string name() const override { return inner_->name(); }
+  uint64_t draws() const { return draws_; }
+
+ private:
+  const UnitDistribution* inner_;
+  mutable uint64_t draws_ = 0;
+};
+
+TEST(DatasetTest, MatchesHashSetOracleUnderHeavyCollisions) {
+  // stddev 1e-9 of a 2^48 domain spans ~10^6 key values, so 100k draws
+  // collide often and generation takes several refill rounds.
+  const GaussianUnit narrow(0.5, 1e-9);
+  const CountingUnit counted(&narrow);
+  const DatasetOptions options{100000, uint64_t{1} << 48, 5};
+  const Dataset ds = GenerateDataset(counted, options);
+  EXPECT_EQ(ds.size(), options.num_keys);
+  EXPECT_EQ(ds.keys, OracleDatasetKeys(narrow, options));
+  // The first round draws exactly num_keys; collisions forced more.
+  EXPECT_GT(counted.draws(), options.num_keys + 1000);
+}
+
+TEST(DriftSequenceTest, MatchesHashSetOracle) {
+  const auto from = MakeUniform();
+  const auto to = MakeClustered(4, 0.01, 9);
+  const DatasetOptions options{3000, uint64_t{1} << 40, 17};
+  const std::vector<Dataset> seq =
+      GenerateDriftSequence(*from, *to, 4, options);
+  ASSERT_EQ(seq.size(), 4u);
+  for (size_t i = 0; i < seq.size(); ++i) {
+    const double t = static_cast<double>(i) / 3.0;
+    const BlendUnit blend(from.get(), to.get(), t);
+    DatasetOptions step = options;
+    step.seed = options.seed + static_cast<uint64_t>(i) * 7919;
+    EXPECT_EQ(seq[i].keys, OracleDatasetKeys(blend, step)) << "step " << i;
+  }
+}
+
+TEST(DatasetTest, StridedNormalizedKeysEqualSubsample) {
+  const Dataset ds =
+      GenerateDataset(*MakeLognormal(0.0, 1.0), {10007, uint64_t{1} << 44, 3});
+  for (size_t max_n : {0u, 1u, 7u, 4096u, 10006u, 10007u, 20000u}) {
+    EXPECT_EQ(ds.NormalizedKeys(max_n), Subsample(ds.NormalizedKeys(), max_n))
+        << "max_n=" << max_n;
+  }
 }
 
 TEST(DatasetTest, DeterministicBySeed) {

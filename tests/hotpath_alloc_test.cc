@@ -11,6 +11,10 @@
 // reserved up front the marginal cost per op must be zero heap calls. The
 // absolute slack term absorbs O(log n) container regrowth in post-run
 // metrics, which scales with run size but not per operation.
+//
+// The spill tests drive each arena past its reservation on purpose and
+// bound the growth allocations by O(log n): a spill path must double
+// capacity, never reallocate per element.
 
 #include <gtest/gtest.h>
 
@@ -20,9 +24,13 @@
 #include <new>
 
 #include "core/driver.h"
+#include "core/event_sink.h"
 #include "core/run_spec.h"
 #include "data/dataset.h"
+#include "obs/trace.h"
+#include "sut/sut.h"
 #include "sut/systems.h"
+#include "util/clock.h"
 
 namespace {
 
@@ -147,6 +155,113 @@ TEST(HotpathAllocTest, BatchSteadyStateAllocatesZeroPerElement) {
       << " extra batch elements: " << marginal << " (slack " << kSlack
       << ") — the batch hot path regressed to allocating in steady state; "
       << "run tools/lint/deepcheck.py to find the new call path";
+}
+
+/// A SUT that allocates nothing per operation, so a write-heavy run's heap
+/// calls are the harness's own (a real index allocates on insert).
+class NullSut final : public SystemUnderTest {
+ public:
+  std::string name() const override { return "null"; }
+  Status Load(const std::vector<KeyValue>& sorted_pairs) override {
+    (void)sorted_pairs;
+    return Status::OK();
+  }
+  OpResult Execute(const Operation& op) override {
+    (void)op;
+    OpResult result;
+    result.ok = true;
+    result.rows = 1;
+    return result;
+  }
+  SutStats GetStats() const override { return {}; }
+};
+
+/// learned_drift's shape at small sizes: a write-heavy phase, then a phase
+/// blending in linearly over `num_operations` ops. During the blend the
+/// write-heavy phase's generator keeps drawing inserts past the arena it
+/// sized for its own ops, so every such insert takes the spill path.
+RunSpec MakeSpillingSpec(uint64_t num_operations) {
+  RunSpec spec = MakeReadOnlySpec(num_operations);
+  spec.name = "hotpath_alloc_spill_" + std::to_string(num_operations);
+  PhaseSpec& writes = spec.phases[0];
+  writes.name = "insert_heavy";
+  writes.mix.get = 0.5;
+  writes.mix.insert = 0.5;
+  PhaseSpec shift = writes;
+  shift.name = "linear_shift";
+  shift.mix = OperationMix{};
+  shift.transition_in = TransitionKind::kLinear;
+  shift.transition_operations = num_operations;
+  spec.phases.push_back(shift);
+  return spec;
+}
+
+uint64_t HeapAllocsForSpillingRun(uint64_t num_operations) {
+  VirtualClock clock;
+  DriverOptions options;
+  options.virtual_clock = &clock;
+  options.virtual_service_nanos = 100000;  // 100 us per op.
+  BenchmarkDriver driver(&clock, options);
+  NullSut sut;
+  const RunSpec spec = MakeSpillingSpec(num_operations);
+
+  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const Result<RunResult> result = driver.Run(spec, &sut);
+  const uint64_t used = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().events.size(), 2 * num_operations);
+  return used;
+}
+
+TEST(HotpathAllocTest, InsertedKeyArenaSpillsAreAmortized) {
+  // ~num_operations / 8 inserts overflow the first phase's arena. Spills
+  // that double capacity cost O(log n) allocations, so doubling the run
+  // adds a handful; a spill that reallocates every time adds thousands.
+  constexpr uint64_t kOps = 16000;
+  (void)HeapAllocsForSpillingRun(kOps);
+
+  const uint64_t base = HeapAllocsForSpillingRun(kOps);
+  const uint64_t doubled = HeapAllocsForSpillingRun(2 * kOps);
+  ASSERT_GE(doubled, base);
+  constexpr uint64_t kSlack = 96;
+  EXPECT_LE(doubled - base, kSlack)
+      << "doubling a run whose generator spills its inserted-key arena "
+      << "added " << doubled - base << " heap allocations — the spill path "
+      << "is reallocating per insert instead of doubling capacity";
+}
+
+// 64x past the reserved arena: doubling needs log2(64) = 6 growth steps.
+constexpr size_t kReserved = 64;
+constexpr size_t kOverfill = 64 * kReserved;
+constexpr uint64_t kMaxGrowthAllocs = 7;
+
+TEST(HotpathAllocTest, EventSinkSpillsGrowGeometrically) {
+  EventSink sink(0);
+  sink.Reserve(kReserved);
+  OpEvent event;
+  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < kOverfill; ++i) sink.Record(event);
+  const uint64_t used = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(used, kMaxGrowthAllocs);
+  const EventStream events = sink.TakeEvents();
+  ASSERT_EQ(events.size(), kOverfill);
+  for (size_t i = 0; i < events.size(); ++i) ASSERT_EQ(events[i].seq, i);
+}
+
+TEST(HotpathAllocTest, TracerSpillsGrowGeometrically) {
+  VirtualClock clock;
+  Tracer tracer(0);
+  tracer.Bind(&clock, 0);
+  tracer.Reserve(kReserved);
+  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < kOverfill; ++i) {
+    tracer.Record("span", static_cast<int64_t>(i), static_cast<int64_t>(i));
+  }
+  const uint64_t used = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(used, kMaxGrowthAllocs);
+  const TraceStream spans = tracer.TakeSpans();
+  ASSERT_EQ(spans.size(), kOverfill);
+  for (size_t i = 0; i < spans.size(); ++i) ASSERT_EQ(spans[i].seq, i);
 }
 
 }  // namespace

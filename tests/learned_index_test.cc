@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "data/dataset.h"
@@ -123,14 +125,21 @@ TEST(DeltaBufferTest, LookupStates) {
   EXPECT_EQ(delta.Lookup(1, &v), DeltaBuffer::Presence::kTombstone);
 }
 
-TEST(DeltaBufferTest, MergeWithAppliesShadowsAndTombstones) {
+TEST(DeltaBufferTest, MergeIntoAppliesShadowsAndTombstones) {
   DeltaBuffer delta;
   delta.Put(2, 20);      // Overwrites static.
   delta.Put(5, 50);      // New key.
   delta.Delete(3);       // Removes static.
   delta.Delete(99);      // Tombstone for non-existent key: no effect.
-  const std::vector<KeyValue> merged =
-      delta.MergeWith({{1, 1}, {2, 2}, {3, 3}, {4, 4}});
+  // Stale output contents are discarded, not appended to.
+  std::vector<Key> keys = {7, 8};
+  std::vector<Value> values = {70};
+  delta.MergeInto({1, 2, 3, 4}, {1, 2, 3, 4}, &keys, &values);
+  std::vector<KeyValue> merged;
+  ASSERT_EQ(keys.size(), values.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    merged.emplace_back(keys[i], values[i]);
+  }
   const std::vector<KeyValue> expected = {{1, 1}, {2, 20}, {4, 4}, {5, 50}};
   EXPECT_EQ(merged, expected);
 }
@@ -329,6 +338,129 @@ TEST(PgmTest, DeltaOperations) {
   EXPECT_EQ(*pgm.Get(5), 500u);
   EXPECT_EQ(*pgm.Get(10), 600u);
   EXPECT_FALSE(pgm.Get(20).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Retrain merge path (shared by RMI and PGM)
+// ---------------------------------------------------------------------------
+
+template <typename Index>
+class RetrainTest : public ::testing::Test {};
+
+using RetrainIndexes = ::testing::Types<RmiIndex, PgmIndex>;
+TYPED_TEST_SUITE(RetrainTest, RetrainIndexes);
+
+/// Applies `ops` seeded mutations drawn around the live keys: fresh
+/// inserts, overwrites of live keys and deletes (live and absent), to both
+/// the index and the oracle.
+template <typename Index>
+void MutateBoth(Index* index, std::map<Key, Value>* oracle, uint64_t seed,
+                int ops) {
+  Rng rng(seed);
+  for (int i = 0; i < ops; ++i) {
+    const Key fresh = rng.Next() % (uint64_t{1} << 40);
+    auto live = oracle->lower_bound(fresh);
+    if (live == oracle->end()) live = oracle->begin();
+    const Value value = rng.Next();
+    switch (rng.NextBounded(4)) {
+      case 0:
+        index->Insert(fresh, value);
+        (*oracle)[fresh] = value;
+        break;
+      case 1:
+        index->Insert(live->first, value);
+        live->second = value;
+        break;
+      case 2:
+        index->Erase(live->first);
+        oracle->erase(live);
+        break;
+      default:
+        index->Erase(fresh);
+        oracle->erase(fresh);
+        break;
+    }
+  }
+}
+
+template <typename Index>
+std::vector<KeyValue> ScanAll(const Index& index) {
+  std::vector<KeyValue> out;
+  index.Scan(0, index.size() + 1, &out);
+  return out;
+}
+
+TYPED_TEST(RetrainTest, MatchesMapOracleAfterMixedWrites) {
+  const Dataset ds =
+      GenerateDataset(UniformUnit(), {5000, uint64_t{1} << 40, 11});
+  TypeParam index;
+  index.BulkLoad(PairsFromDataset(ds));
+  std::map<Key, Value> oracle;
+  for (size_t i = 0; i < ds.keys.size(); ++i) {
+    oracle[ds.keys[i]] = static_cast<Value>(i);
+  }
+  for (uint64_t round = 0; round < 3; ++round) {
+    MutateBoth(&index, &oracle, 100 + round, 800);
+    EXPECT_EQ(index.Retrain(), oracle.size());
+    EXPECT_EQ(index.delta_size(), 0u);
+    ASSERT_EQ(index.size(), oracle.size());
+    const std::vector<KeyValue> expected(oracle.begin(), oracle.end());
+    EXPECT_EQ(ScanAll(index), expected) << "round " << round;
+    for (const auto& [k, v] : oracle) {
+      const std::optional<Value> got = index.Get(k);
+      ASSERT_TRUE(got.has_value()) << "round " << round << " key " << k;
+      ASSERT_EQ(*got, v);
+    }
+  }
+}
+
+TYPED_TEST(RetrainTest, StaticKeysEqualScanSnapshot) {
+  const Dataset ds =
+      GenerateDataset(UniformUnit(), {3000, uint64_t{1} << 40, 12});
+  TypeParam index;
+  index.BulkLoad(PairsFromDataset(ds));
+  std::map<Key, Value> oracle;
+  for (Key k : ds.keys) oracle[k] = 0;
+  MutateBoth(&index, &oracle, 7, 600);
+  index.Retrain();
+  // The keys the learned system trains its estimator on, versus the full
+  // Scan snapshot it used to take.
+  std::vector<Key> scanned;
+  for (const auto& [k, v] : ScanAll(index)) scanned.push_back(k);
+  EXPECT_EQ(index.static_keys(), scanned);
+}
+
+TYPED_TEST(RetrainTest, SecondRetrainReusesSpareCapacity) {
+  const Dataset ds =
+      GenerateDataset(UniformUnit(), {4000, uint64_t{1} << 40, 13});
+  TypeParam index;
+  index.BulkLoad(PairsFromDataset(ds));
+  const Key* loaded = index.static_keys().data();
+
+  // First merge fills a fresh spare array and swaps it in.
+  for (size_t i = 0; i < 200; ++i) ASSERT_TRUE(index.Erase(ds.keys[2 * i]));
+  ASSERT_TRUE(index.Insert(ds.keys[1] + 1, 5));
+  index.Retrain();
+  EXPECT_NE(index.static_keys().data(), loaded);
+  EXPECT_EQ(index.size(), 4000u - 200u + 1u);
+
+  // The second merge fits the bulk-loaded array, now the spare: no
+  // reallocation, the static keys land back in the original buffer.
+  for (size_t i = 0; i < 50; ++i) index.Insert(ds.keys[3 * i + 1] + 2, 9);
+  index.Retrain();
+  EXPECT_EQ(index.static_keys().data(), loaded);
+  EXPECT_EQ(index.size(), 4000u - 200u + 1u + 50u);
+}
+
+TYPED_TEST(RetrainTest, EmptyDeltaRetrainKeepsArrays) {
+  const Dataset ds =
+      GenerateDataset(UniformUnit(), {2000, uint64_t{1} << 40, 14});
+  TypeParam index;
+  index.BulkLoad(PairsFromDataset(ds));
+  const Key* loaded = index.static_keys().data();
+  EXPECT_EQ(index.Retrain(), ds.keys.size());
+  EXPECT_EQ(index.static_keys().data(), loaded);
+  EXPECT_EQ(index.static_keys(), ds.keys);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -82,6 +83,37 @@ TEST(QuantileTest, LinearInterpolation) {
 TEST(QuantileTest, EmptyAndSingle) {
   EXPECT_EQ(Quantile({}, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(Quantile({7.0}, 0.9), 7.0);
+}
+
+TEST(QuantileTest, SelectionMatchesSortBitForBit) {
+  Rng rng(31);
+  std::vector<std::vector<double>> inputs;
+  std::vector<double> random(1001);
+  for (double& v : random) v = rng.NextDouble() * 1e6;
+  inputs.push_back(random);
+  std::vector<double> duplicates(517);
+  for (double& v : duplicates) v = static_cast<double>(rng.NextBounded(5));
+  inputs.push_back(duplicates);
+  std::vector<double> spiky(64, 3.0);
+  spiky[17] = 1e9;
+  spiky[40] = -2.5;
+  inputs.push_back(spiky);
+  inputs.push_back({42.0});
+  inputs.push_back({9.0, -1.0});
+  inputs.push_back({1.0, 1.0});
+  for (const std::vector<double>& input : inputs) {
+    std::vector<double> sorted = input;
+    std::sort(sorted.begin(), sorted.end());
+    for (double q : {0.0, 0.25, 0.5, 0.99, 1.0}) {
+      const double expected = QuantileSorted(sorted, q);
+      const double got = Quantile(input, q);
+      // Bitwise equality, not just ==: the selection path must reproduce
+      // the sorted path's interpolation exactly.
+      EXPECT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
+          << "n=" << input.size() << " q=" << q << " expected " << expected
+          << " got " << got;
+    }
+  }
 }
 
 TEST(BoxPlotTest, FiveNumberSummary) {

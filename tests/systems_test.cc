@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "data/dataset.h"
@@ -127,6 +128,65 @@ TEST_P(LearnedSystemTest, TrainThenServe) {
     }
     EXPECT_EQ(sut.Execute(MakeRangeCount(lo, hi)).rows, expected);
   }
+}
+
+TEST_P(LearnedSystemTest, RetrainTrainsOnTheLiveKeySet) {
+  LearnedSystemOptions options;
+  options.index_kind = GetParam();
+  options.retrain_policy = RetrainPolicy::kOnPhaseStart;
+  LearnedKvSystem sut(options);
+  const auto pairs = UniformPairs(8000, 13);
+  ASSERT_TRUE(sut.Load(pairs).ok());
+  (void)sut.Train();
+  std::map<Key, Value> oracle(pairs.begin(), pairs.end());
+  const std::vector<Key> loaded_keys = [&] {
+    std::vector<Key> keys;
+    for (const auto& [k, v] : oracle) keys.push_back(k);
+    return keys;
+  }();
+  EXPECT_EQ(sut.TrainingKeys(), loaded_keys);
+
+  // Inserts, overwrites and deletes land in the delta until the phase-start
+  // retrain merges them.
+  Rng rng(14);
+  for (int i = 0; i < 3000; ++i) {
+    Operation op;
+    op.value = static_cast<Value>(i);
+    switch (rng.NextBounded(3)) {
+      case 0:
+        op.type = OpType::kInsert;
+        op.key = rng.Next() % (uint64_t{1} << 40);
+        oracle[op.key] = op.value;
+        break;
+      case 1:
+        // Update upserts, so it may also revive a deleted key.
+        op.type = OpType::kUpdate;
+        op.key = pairs[rng.NextBounded(pairs.size())].first;
+        oracle[op.key] = op.value;
+        break;
+      default:
+        op.type = OpType::kDelete;
+        op.key = pairs[rng.NextBounded(pairs.size())].first;
+        oracle.erase(op.key);
+        break;
+    }
+    (void)sut.Execute(op);
+  }
+  ASSERT_GT(sut.delta_size(), 0u);
+  sut.OnPhaseStart(1, /*holdout=*/false);
+  ASSERT_EQ(sut.retrain_events(), 1u);
+  EXPECT_EQ(sut.delta_size(), 0u);
+
+  // The estimator's training keys equal the full-scan snapshot of the live
+  // key set (the std::map oracle).
+  std::vector<Key> live;
+  for (const auto& [k, v] : oracle) live.push_back(k);
+  EXPECT_EQ(sut.TrainingKeys(), live);
+  Operation scan;
+  scan.type = OpType::kScan;
+  scan.key = 0;
+  scan.scan_length = static_cast<uint32_t>(live.size() + 1);
+  EXPECT_EQ(sut.Execute(scan).rows, live.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -31,6 +31,7 @@ EXPECTED_FAILURES = {
     "fail/raw_lock.cc": ("no-raw-lock", 2),
     "fail/bare_atomic.cc": ("no-bare-atomic", 2),
     "fail/unordered_range_for.cc": ("unordered-range-for", 1),
+    "fail/self_size_reserve.cc": ("no-self-size-reserve", 3),
 }
 
 

@@ -39,6 +39,12 @@ Rules:
                         util/atomic.h pick ad-hoc orderings and dodge the
                         lsbench-sched preemption points; use
                         lsbench::Atomic<T>.
+  no-self-size-reserve  c.reserve(...) whose argument reads c.size() (even
+                        across line breaks): after a push_back, size is one
+                        past the last reserve, so every later call asks for
+                        more than the capacity and reallocates — a spill
+                        path that copies the whole array per element. Grow
+                        only when size() == capacity(), from capacity().
   unordered-range-for   range-for over std::unordered_{map,set} anywhere
                         visits elements in hash order; anything that feeds
                         events, traces, reports, or serialization must take
@@ -71,6 +77,7 @@ ALL_RULES = (
     "no-raw-mutex",
     "no-raw-lock",
     "no-bare-atomic",
+    "no-self-size-reserve",
     "unordered-range-for",
 )
 
@@ -302,6 +309,49 @@ def check_line_rules(relpath, code_lines):
     return findings
 
 
+# --- no-self-size-reserve --------------------------------------------------
+
+# `container.reserve(` / `obj->container.reserve(`; group 1 is the container
+# expression as written.
+RESERVE_CALL_RE = re.compile(
+    r"(?<![\w.>])([A-Za-z_]\w*(?:\s*(?:\.|->)\s*[A-Za-z_]\w*)*)"
+    r"\s*(?:\.|->)\s*reserve\s*\(")
+
+
+def balanced_argument(code_text, open_paren):
+    """Text between the '(' at `open_paren` and its matching ')'."""
+    depth = 0
+    for i in range(open_paren, len(code_text)):
+        if code_text[i] == "(":
+            depth += 1
+        elif code_text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return code_text[open_paren + 1:i]
+    return code_text[open_paren + 1:]
+
+
+def check_self_size_reserve(relpath, code_text):
+    findings = []
+    for m in RESERVE_CALL_RE.finditer(code_text):
+        container = m.group(1)
+        parts = re.split(r"\s*(\.|->)\s*", container)
+        name_re = r"\s*".join(re.escape(p) for p in parts)
+        self_size_re = re.compile(
+            r"(?<![\w.>])" + name_re + r"\s*(?:\.|->)\s*size\s*\(")
+        arg = balanced_argument(code_text, m.end() - 1)
+        if self_size_re.search(arg):
+            line = code_text.count("\n", 0, m.start(1)) + 1
+            compact = re.sub(r"\s+", "", container)
+            findings.append(Finding(
+                relpath, line, "no-self-size-reserve",
+                f"'{compact}.reserve(...)' sized from '{compact}.size()' "
+                "reallocates on every call once size passes the last "
+                "reserve; grow only when size() == capacity(), doubling "
+                "capacity()"))
+    return findings
+
+
 # --- unordered-iteration / unordered-range-for ------------------------------
 
 UNORDERED_DECL_RE = re.compile(
@@ -525,6 +575,7 @@ def lint_files(files, rules=ALL_RULES):
         file_findings += check_line_rules(relpath, code_lines)
         file_findings += check_unordered_iteration(relpath, code_lines)
         file_findings += check_unordered_range_for(relpath, code_lines)
+        file_findings += check_self_size_reserve(relpath, code_text)
         if "discarded-status" in rules:
             file_findings += check_discarded_status(
                 relpath, code_text, status_names)
