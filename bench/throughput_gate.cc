@@ -1,4 +1,4 @@
-// Throughput gate for the monomorphized batch executor: sweeps
+// Throughput gate for batch request units in the executor: sweeps
 // scalar-vs-batch op classes across workers {1, 4} and the btree/learned
 // SUTs, all driving the same number of *elements* through the stack, and
 // writes the tracked BENCH_throughput.json that CI diffs against the
@@ -16,12 +16,12 @@
 // event sink). Scalar configs pay the full per-op stack; batch configs
 // draw kBatchGet/kBatchPut request units of `batch_size` elements, so the
 // per-request costs (stream bookkeeping, retry/breaker/deadline logic,
-// engine dispatch) amortize across the batch. Each config reports the best
+// SUT dispatch) amortize across the batch. Each config reports the best
 // of `kRepeats` runs to damp scheduler noise.
 //
-// Engines: every swept config runs monomorphized — the bare btree/learned
-// SUT at workers=1, and the driver's SerializingSut wrapper (itself in the
-// monomorphization chain) at workers=4.
+// Dispatch: every config calls the SUT through the SystemUnderTest vtable,
+// once per request unit — the bare btree/learned SUT at workers=1, the
+// driver's SerializingSut wrapper (forwarding under its lock) at workers=4.
 //
 // Usage: throughput_gate [output.json]   (default BENCH_throughput.json)
 
@@ -126,7 +126,7 @@ ConfigResult RunConfig(const Dataset& dataset, const std::string& sut_kind,
 
 int Main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_throughput.json";
-  bench::Header("Throughput gate: scalar vs monomorphized batch dispatch");
+  bench::Header("Throughput gate: scalar vs batch dispatch");
   std::printf("%llu elements/config, batch_size %u, best of %d, "
               "sequential over %zu keys\n",
               static_cast<unsigned long long>(kElements), kBatchSize,

@@ -11,10 +11,8 @@
 #include "core/service.h"
 #include "core/workload_stream.h"
 #include "obs/observability.h"
-#include "sut/concurrent_kv.h"
 #include "sut/fault_injection.h"
 #include "sut/serializing.h"
-#include "sut/systems.h"
 #include "util/assert.h"
 #include "util/sync.h"
 
@@ -104,9 +102,6 @@ struct WorkerContext {
   std::optional<LaneSut> lane;
   std::optional<WorkloadStream> stream;
   std::optional<ResilientExecutor> executor;
-  /// The SUT (or per-worker lane adapter) the executor targets. Engine
-  /// selection monomorphizes against this pointer's proven runtime type.
-  SystemUnderTest* exec_target = nullptr;
   /// Per-element result arena for batch ops, sized once (off the measured
   /// loop) to the run's largest batch so the hot loop never allocates.
   std::vector<OpResult> batch_results;
@@ -121,20 +116,48 @@ struct WorkerContext {
   std::unique_ptr<WorkerObs> obs;
 };
 
+/// Executes one issued request unit resiliently and records it: one event
+/// for a scalar op, one per element for a batch op. Elements share the
+/// unit's outcome (timestamp, latency, retries, failure flags) and carry
+/// their own data-level ok/rows and consecutive seqs. `issue_rel_nanos` is
+/// when the unit left the driver: its intended arrival under inline pacing,
+/// its dequeue time in service mode. Returns the completion time
+/// (run-relative).
+int64_t ExecuteAndRecord(WorkerContext* ctx, const WorkloadStream::Issue& issue,
+                         int64_t issue_rel_nanos, int64_t run_start_nanos) {
+  OpResult* batch_results = ctx->batch_results.data();
+  const ExecOutcome outcome = ctx->executor->ExecuteUnit(
+      issue.op, issue.arrival_rel_nanos, batch_results);
+  const int64_t completion_rel = ctx->clock->NowNanos() - run_start_nanos;
+
+  OpEvent proto;
+  proto.timestamp_nanos = completion_rel;
+  proto.latency_nanos =
+      std::max<int64_t>(0, completion_rel - issue.arrival_rel_nanos);
+  // A unit is never issued after it completed; the clamp only matters
+  // under inline pacing, where issue time IS the intended arrival.
+  proto.issue_nanos = std::min(issue_rel_nanos, completion_rel);
+  proto.phase = ctx->current_phase;
+  proto.type = issue.op.type;
+  proto.retries = outcome.retries;
+  proto.failed = outcome.failed;
+  proto.timed_out = outcome.timed_out;
+  proto.shed = outcome.shed;
+  proto.open_loop = issue.open_loop;
+  proto.batch = OpResultCount(issue.op);
+  ctx->sink.RecordBatch(
+      proto, IsBatchOp(issue.op.type) ? batch_results : &outcome.result,
+      proto.batch);
+  ctx->stream->RecordCompletion(completion_rel);
+  return completion_rel;
+}
+
 /// Drains one worker's current phase: issue, pace, execute resiliently,
 /// record. This is the inner loop both the serial path and every worker
-/// thread run; at workers == 1 with the generic engine it reproduces the
-/// monolithic driver's loop bit-for-bit.
-///
-/// The loop is a template over the executor's attempt-dispatch policy: the
-/// driver selects — once per phase — either the generic VirtualExec engine
-/// or a MonoExec<SutT> instantiation with the proven final SUT type baked
-/// in, so the steady state makes zero virtual calls per operation.
-template <typename Exec>
-void RunWorkerPhaseT(WorkerContext* ctx, int64_t run_start_nanos,
-                     const Exec exec) {
+/// thread run; at workers == 1 it reproduces the monolithic driver's loop
+/// bit-for-bit.
+void RunWorkerPhase(WorkerContext* ctx, int64_t run_start_nanos) {
   WorkloadStream& stream = *ctx->stream;
-  ResilientExecutor& executor = *ctx->executor;
   const Pacer pacer(ctx->clock, ctx->sim_clock);
 #if !defined(LSBENCH_NO_TRACING)
   StageProfiler* profiler =
@@ -146,56 +169,9 @@ void RunWorkerPhaseT(WorkerContext* ctx, int64_t run_start_nanos,
       LSBENCH_PROFILE_STAGE(profiler, Stage::kPace);
       pacer.PaceUntil(run_start_nanos + issue.arrival_rel_nanos);
     }
-
-    if (IsBatchOp(issue.op.type)) {
-      // Batch ops: one request unit (breaker check, deadline, retries, and
-      // coordinated-omission charge all happen once), one recorded event
-      // per element with distinct seqs.
-      OpResult* results = ctx->batch_results.data();
-      const ExecOutcome outcome = executor.ExecuteBatchWith(
-          exec, issue.op, issue.arrival_rel_nanos, results);
-      const int64_t completion_rel = ctx->clock->NowNanos() - run_start_nanos;
-
-      OpEvent proto;
-      proto.timestamp_nanos = completion_rel;
-      proto.latency_nanos =
-          std::max<int64_t>(0, completion_rel - issue.arrival_rel_nanos);
-      proto.issue_nanos = completion_rel - proto.latency_nanos;
-      proto.phase = ctx->current_phase;
-      proto.type = issue.op.type;
-      proto.retries = outcome.retries;
-      proto.failed = outcome.failed;
-      proto.timed_out = outcome.timed_out;
-      proto.shed = outcome.shed;
-      proto.open_loop = issue.open_loop;
-      proto.batch = issue.op.batch_size;
-      ctx->sink.RecordBatch(proto, results, issue.op.batch_size);
-      stream.RecordCompletion(completion_rel);
-      continue;
-    }
-
-    const ExecOutcome outcome =
-        executor.ExecuteOneWith(exec, issue.op, issue.arrival_rel_nanos);
-    const int64_t completion_rel = ctx->clock->NowNanos() - run_start_nanos;
-
-    OpEvent event;
-    event.timestamp_nanos = completion_rel;
-    event.latency_nanos =
-        std::max<int64_t>(0, completion_rel - issue.arrival_rel_nanos);
-    // Inline pacing issues the op the moment its arrival is due, so the
-    // issue time IS the (clamped) intended arrival — no queueing here.
-    event.issue_nanos = completion_rel - event.latency_nanos;
-    event.phase = ctx->current_phase;
-    event.type = issue.op.type;
-    event.ok = !outcome.failed && outcome.result.ok;
-    event.rows = outcome.result.rows;
-    event.retries = outcome.retries;
-    event.failed = outcome.failed;
-    event.timed_out = outcome.timed_out;
-    event.shed = outcome.shed;
-    event.open_loop = issue.open_loop;
-    ctx->sink.Record(event);
-    stream.RecordCompletion(completion_rel);
+    // Inline pacing issues the unit the moment its arrival is due — no
+    // queueing here.
+    ExecuteAndRecord(ctx, issue, issue.arrival_rel_nanos, run_start_nanos);
   }
 }
 
@@ -205,11 +181,9 @@ void RunWorkerPhaseT(WorkerContext* ctx, int64_t run_start_nanos,
 /// sheds what cannot be served. Unlike RunWorkerPhase, an operation's issue
 /// time can lag its intended arrival — that gap (queue wait) is exactly
 /// what coordinated-omission-correct latency must include.
-template <typename Exec>
-void RunWorkerServicePhaseT(WorkerContext* ctx, int64_t run_start_nanos,
-                            const Exec exec) {
+void RunWorkerServicePhase(WorkerContext* ctx, int64_t run_start_nanos) {
   WorkloadStream& stream = *ctx->stream;
-  ResilientExecutor& executor = *ctx->executor;
+  const ResilientExecutor& executor = *ctx->executor;
   AdmissionQueue& queue = *ctx->admission;
   const Pacer pacer(ctx->clock, ctx->sim_clock);
 #if !defined(LSBENCH_NO_TRACING)
@@ -267,119 +241,10 @@ void RunWorkerServicePhaseT(WorkerContext* ctx, int64_t run_start_nanos,
     }
 
     const WorkloadStream::Issue issue = queue.PopFront(now_rel);
-
-    if (IsBatchOp(issue.op.type)) {
-      OpResult* results = ctx->batch_results.data();
-      const ExecOutcome outcome = executor.ExecuteBatchWith(
-          exec, issue.op, issue.arrival_rel_nanos, results);
-      const int64_t completion_rel = ctx->clock->NowNanos() - run_start_nanos;
-      queue.RecordServiceTime(completion_rel - now_rel);
-
-      OpEvent proto;
-      proto.timestamp_nanos = completion_rel;
-      proto.latency_nanos =
-          std::max<int64_t>(0, completion_rel - issue.arrival_rel_nanos);
-      proto.issue_nanos = now_rel;
-      proto.phase = ctx->current_phase;
-      proto.type = issue.op.type;
-      proto.retries = outcome.retries;
-      proto.failed = outcome.failed;
-      proto.timed_out = outcome.timed_out;
-      proto.shed = outcome.shed;
-      proto.open_loop = issue.open_loop;
-      proto.batch = issue.op.batch_size;
-      ctx->sink.RecordBatch(proto, results, issue.op.batch_size);
-      stream.RecordCompletion(completion_rel);
-      continue;
-    }
-
-    const ExecOutcome outcome =
-        executor.ExecuteOneWith(exec, issue.op, issue.arrival_rel_nanos);
-    const int64_t completion_rel = ctx->clock->NowNanos() - run_start_nanos;
+    const int64_t completion_rel =
+        ExecuteAndRecord(ctx, issue, now_rel, run_start_nanos);
     queue.RecordServiceTime(completion_rel - now_rel);
-
-    OpEvent event;
-    event.timestamp_nanos = completion_rel;
-    event.latency_nanos =
-        std::max<int64_t>(0, completion_rel - issue.arrival_rel_nanos);
-    event.issue_nanos = now_rel;
-    event.phase = ctx->current_phase;
-    event.type = issue.op.type;
-    event.ok = !outcome.failed && outcome.result.ok;
-    event.rows = outcome.result.rows;
-    event.retries = outcome.retries;
-    event.failed = outcome.failed;
-    event.timed_out = outcome.timed_out;
-    event.shed = outcome.shed;
-    event.open_loop = issue.open_loop;
-    ctx->sink.Record(event);
-    stream.RecordCompletion(completion_rel);
   }
-}
-
-// ---- Engine selection ----
-// One inline-loop and one service-loop entry point per engine, with a
-// uniform signature so phase orchestration stays a plain function-pointer
-// call. The monomorphized wrappers re-derive the typed SUT pointer with a
-// static_cast that is only reached after SelectEngines proved the runtime
-// type via dynamic_cast.
-
-using PhaseFn = void (*)(WorkerContext*, int64_t);
-
-void RunWorkerPhaseVirtual(WorkerContext* ctx, int64_t run_start_nanos) {
-  RunWorkerPhaseT(ctx, run_start_nanos, VirtualExec{ctx->exec_target});
-}
-
-void RunWorkerServicePhaseVirtual(WorkerContext* ctx,
-                                  int64_t run_start_nanos) {
-  RunWorkerServicePhaseT(ctx, run_start_nanos, VirtualExec{ctx->exec_target});
-}
-
-template <typename SutT>
-void RunWorkerPhaseMono(WorkerContext* ctx, int64_t run_start_nanos) {
-  RunWorkerPhaseT(ctx, run_start_nanos,
-                  MonoExec<SutT>{static_cast<SutT*>(ctx->exec_target)});
-}
-
-template <typename SutT>
-void RunWorkerServicePhaseMono(WorkerContext* ctx, int64_t run_start_nanos) {
-  RunWorkerServicePhaseT(ctx, run_start_nanos,
-                         MonoExec<SutT>{static_cast<SutT*>(ctx->exec_target)});
-}
-
-struct PhaseEngines {
-  PhaseFn inline_loop = nullptr;
-  PhaseFn service_loop = nullptr;
-};
-
-template <typename SutT>
-constexpr PhaseEngines MonoEngines() {
-  return {&RunWorkerPhaseMono<SutT>, &RunWorkerServicePhaseMono<SutT>};
-}
-
-/// Picks the execution engine for the phase about to run. Monomorphization
-/// is sound only on a proven exact runtime type — all cases below are
-/// final classes, so a successful dynamic_cast is such a proof. The
-/// driver's own SerializingSut wrapper is itself in the chain: the mono
-/// engine binds the *wrapper's* Execute/ExecuteBatch statically (the lock
-/// still guards every call; only the outer virtual dispatch is removed),
-/// so serial SUTs under fan-out keep a monomorphized loop. Fault lanes and
-/// user-supplied decorators fail every cast and fall back to the generic
-/// virtual engine, preserving their must-see-every-call semantics.
-PhaseEngines SelectEngines(SystemUnderTest* target) {
-  if (dynamic_cast<BTreeSystem*>(target) != nullptr) {
-    return MonoEngines<BTreeSystem>();
-  }
-  if (dynamic_cast<LearnedKvSystem*>(target) != nullptr) {
-    return MonoEngines<LearnedKvSystem>();
-  }
-  if (dynamic_cast<PartitionedKvSystem*>(target) != nullptr) {
-    return MonoEngines<PartitionedKvSystem>();
-  }
-  if (dynamic_cast<SerializingSut*>(target) != nullptr) {
-    return MonoEngines<SerializingSut>();
-  }
-  return {&RunWorkerPhaseVirtual, &RunWorkerServicePhaseVirtual};
 }
 
 }  // namespace
@@ -579,7 +444,6 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
       ctx.lane.emplace(&*fault_wrapper, w);
       target = &*ctx.lane;
     }
-    ctx.exec_target = target;
     ctx.executor.emplace(target, spec.resilience,
                          Pacer(ctx.clock, ctx.sim_clock),
                          root.Fork(kBackoffStreamTag).Next(),
@@ -663,16 +527,11 @@ Result<RunResult> BenchmarkDriver::Run(const RunSpec& spec,
           ctx.clock->NowNanos() - run_start);
     }
 
-    // Engine selection, once at phase start: if every worker drives the
-    // bare SUT (no wrappers, no lanes), monomorphize the whole inner loop
-    // on its proven final type — zero virtual calls per op in the steady
-    // state. Workers always share the target's runtime type, so worker 0
-    // decides for all. Service mode swaps the inner loop: arrivals fire
-    // into the admission queue instead of pacing inline. Everything around
-    // it (barriers, merge, clocks) is unchanged.
-    const PhaseEngines engines = SelectEngines(contexts[0].exec_target);
-    const PhaseFn run_worker =
-        spec.service.enabled ? engines.service_loop : engines.inline_loop;
+    // Service mode swaps the inner loop: arrivals fire into the admission
+    // queue instead of pacing inline. Everything around it (barriers,
+    // merge, clocks) is unchanged.
+    const auto run_worker =
+        spec.service.enabled ? &RunWorkerServicePhase : &RunWorkerPhase;
 
     if (workers == 1) {
       run_worker(&contexts[0], run_start);

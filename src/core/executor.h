@@ -2,7 +2,6 @@
 #define LSBENCH_CORE_EXECUTOR_H_
 
 #include <cstdint>
-#include <limits>
 #include <optional>
 
 #include "core/resilience.h"
@@ -58,45 +57,14 @@ struct ExecOutcome {
   bool shed = false;       ///< Dropped unexecuted by the open breaker.
 };
 
-/// Exec policies: how one executor attempt reaches the SUT. The retry loop
-/// is a template over this policy, so the driver can pick — once per phase
-/// — between generic virtual dispatch and a monomorphized engine with the
-/// final SUT type baked in.
-
-/// Generic engine: every attempt goes through the SystemUnderTest vtable.
-/// Always correct; the only choice when the SUT runs behind wrappers
-/// (serializing, fault lanes).
-struct VirtualExec {
-  SystemUnderTest* sut;
-  OpResult Execute(const Operation& op) const { return sut->Execute(op); }
-  void ExecuteBatch(const Operation& op, OpResult* results) const {
-    sut->ExecuteBatch(op, results);
-  }
-};
-
-/// Monomorphized engine: the final SUT type is a compile-time parameter and
-/// the attempt calls are *qualified*, so they bind statically — zero virtual
-/// calls per operation in the steady state, and the SUT's batch loop inlines
-/// into the executor's. Only valid when the driver proved the runtime type
-/// (dynamic_cast) and the SUT runs unwrapped.
-template <typename SutT>
-struct MonoExec {
-  SutT* sut;
-  OpResult Execute(const Operation& op) const {
-    return sut->SutT::Execute(op);
-  }
-  void ExecuteBatch(const Operation& op, OpResult* results) const {
-    sut->SutT::ExecuteBatch(op, results);
-  }
-};
-
 /// Stage 2 of the execution core: the timeout/retry/circuit-breaker policy
-/// around a single Execute call. One instance per worker — each worker gets
-/// its own backoff jitter stream and breaker so fan-out never serializes on
-/// resilience bookkeeping. Semantics are exactly the monolithic driver's
-/// retry loop: deadline measured from the intended arrival, breaker checked
-/// before every attempt, transient failures retried with seeded backoff
-/// inside the deadline, open breaker shedding operations unexecuted.
+/// around one request unit (a scalar op or a whole batch). One instance per
+/// worker — each worker gets its own backoff jitter stream and breaker so
+/// fan-out never serializes on resilience bookkeeping. Semantics are exactly
+/// the monolithic driver's retry loop: deadline measured from the intended
+/// arrival, breaker checked before every attempt, transient failures retried
+/// with seeded backoff inside the deadline, open breaker shedding operations
+/// unexecuted.
 class ResilientExecutor {
  public:
   struct Options {
@@ -112,45 +80,26 @@ class ResilientExecutor {
                     Pacer pacer, uint64_t backoff_seed, bool enable_breaker,
                     Options options);
 
-  /// Runs one operation through the resilience policy. `arrival_rel_nanos`
-  /// is the operation's intended start (run-relative) from which its
-  /// deadline is measured. Equivalent to ExecuteOneWith(VirtualExec{sut}).
+  /// Runs one request unit through the resilience policy: a scalar op, or
+  /// a whole batch op. `arrival_rel_nanos` is the unit's intended start
+  /// (run-relative) from which its deadline is measured. A batch is ONE
+  /// unit: one breaker check per attempt, one deadline, and a transient
+  /// failure retries the whole batch. In simulation mode each attempt
+  /// advances the virtual clock by virtual_service_nanos per *element*
+  /// (OpResultCount), so simulated batch latency scales with batch size
+  /// and effective per-op latency stays comparable to the scalar path.
+  ///
+  /// For a batch op, `batch_results` must have room for OpResultCount(op)
+  /// entries and receives the per-element results (default, failed results
+  /// on a shed); the outcome's `result` is then the attempt aggregate:
+  /// the first non-OK element status classifies the batch (element
+  /// "misses" — ok == false with an OK status — are data-level outcomes,
+  /// not failures) and rows sum across elements. For a scalar op
+  /// `batch_results` is unused and `result` is the SUT's own.
   LSBENCH_HOT_PATH
   LSBENCH_DETERMINISTIC
-  ExecOutcome ExecuteOne(const Operation& op, int64_t arrival_rel_nanos);
-
-  /// The retry loop itself, parameterized on the attempt dispatch policy.
-  /// `exec` must target the same SUT this executor was constructed with
-  /// (the breaker/backoff bookkeeping is per-SUT state).
-  ///
-  /// Deliberately NOT an LSBENCH_HOT_PATH root: through MonoExec the
-  /// qualified attempt call devirtualizes, so the interprocedural walk
-  /// would cross into SUT internals (B-tree node splits, learned-index
-  /// retrains) that legitimately allocate — a boundary the scalar path
-  /// gets for free from virtual dispatch. Hot-path proofs cover this loop
-  /// via the ExecuteOne root (VirtualExec flavor, bit-identical logic);
-  /// the end-to-end batch allocation budget is pinned at runtime by
-  /// tests/hotpath_alloc_test.cc instead.
-  template <typename Exec>
-  LSBENCH_DETERMINISTIC ExecOutcome ExecuteOneWith(const Exec& exec,
-                                                   const Operation& op,
-                                                   int64_t arrival_rel_nanos);
-
-  /// Batch flavor: the batch is ONE request unit. One breaker check per
-  /// attempt, one deadline measured from the shared intended arrival, and a
-  /// transient failure retries the whole batch. The attempt's aggregate
-  /// classification is the first non-OK element status (element "misses" —
-  /// ok == false with an OK status — are data-level outcomes, not
-  /// failures). In simulation mode each attempt advances the virtual clock
-  /// by virtual_service_nanos per *element*, so simulated batch latency
-  /// scales with batch size and effective per-op latency stays comparable
-  /// to the scalar path. `results` must have room for OpResultCount(op)
-  /// entries; on a shed it is filled with default (failed) results.
-  /// Not a HOT_PATH root for the same reason as ExecuteOneWith.
-  template <typename Exec>
-  LSBENCH_DETERMINISTIC ExecOutcome ExecuteBatchWith(
-      const Exec& exec, const Operation& op, int64_t arrival_rel_nanos,
-      OpResult* results);
+  ExecOutcome ExecuteUnit(const Operation& op, int64_t arrival_rel_nanos,
+                          OpResult* batch_results);
 
   /// Breaker state for run-level accounting (null when disabled).
   const CircuitBreaker* breaker() const {
@@ -183,155 +132,6 @@ class ResilientExecutor {
   Counter* shed_ = nullptr;
   Counter* failures_ = nullptr;
 };
-
-// ---- Retry-loop templates ----
-// Defined in the header so each MonoExec instantiation compiles into a
-// self-contained engine with the SUT's execute path inlined. ExecuteOne
-// (executor.cc) instantiates the VirtualExec flavor; behavior there is
-// bit-identical to the historical out-of-line loop.
-
-template <typename Exec>
-ExecOutcome ResilientExecutor::ExecuteOneWith(const Exec& exec,
-                                              const Operation& op,
-                                              int64_t arrival_rel_nanos) {
-  const Clock* clock = pacer_.clock();
-  VirtualClock* vclock = pacer_.virtual_clock();
-  const int64_t deadline_rel =
-      spec_.op_timeout_nanos > 0
-          ? arrival_rel_nanos + spec_.op_timeout_nanos
-          : std::numeric_limits<int64_t>::max();
-
-  ExecOutcome out;
-  for (;;) {
-    if (breaker_ && !breaker_->AllowRequest(clock->NowNanos())) {
-      // Open breaker: degraded mode sheds the operation unexecuted.
-      out.shed = true;
-      out.failed = true;
-      out.result = OpResult();
-      if (shed_ != nullptr) shed_->Increment();
-      if (vclock != nullptr) {
-        vclock->AdvanceNanos(options_.virtual_shed_nanos);
-      }
-      break;
-    }
-    {
-      LSBENCH_TRACE_SPAN(tracer_, "execute");
-      LSBENCH_PROFILE_STAGE(profiler_, Stage::kExecute);
-      if (attempts_ != nullptr) attempts_->Increment();
-      out.result = exec.Execute(op);
-      if (vclock != nullptr) {
-        vclock->AdvanceNanos(options_.virtual_service_nanos);
-      }
-    }
-    const int64_t now_rel = clock->NowNanos() - options_.run_start_nanos;
-    const bool past_deadline = now_rel > deadline_rel;
-    if (out.result.status.ok() && !past_deadline) {
-      if (breaker_) breaker_->RecordSuccess(clock->NowNanos());
-      break;
-    }
-    // Failure: a SUT error, a blown latency budget, or both.
-    if (breaker_) breaker_->RecordFailure(clock->NowNanos());
-    if (past_deadline) {
-      // The deadline is spent; retrying cannot deliver in time.
-      out.timed_out = true;
-      out.failed = true;
-      if (timeouts_ != nullptr) timeouts_->Increment();
-      break;
-    }
-    if (out.result.status.IsTransient() && out.retries < spec_.max_retries) {
-      ++out.retries;
-      if (retries_ != nullptr) retries_->Increment();
-      LSBENCH_TRACE_SPAN(tracer_, "backoff");
-      LSBENCH_PROFILE_STAGE(profiler_, Stage::kBackoff);
-      pacer_.PaceUntil(clock->NowNanos() +
-                       backoff_.NextDelayNanos(out.retries));
-      continue;
-    }
-    out.failed = true;
-    break;
-  }
-  if (out.failed && failures_ != nullptr) failures_->Increment();
-  return out;
-}
-
-template <typename Exec>
-ExecOutcome ResilientExecutor::ExecuteBatchWith(const Exec& exec,
-                                                const Operation& op,
-                                                int64_t arrival_rel_nanos,
-                                                OpResult* results) {
-  const Clock* clock = pacer_.clock();
-  VirtualClock* vclock = pacer_.virtual_clock();
-  const uint32_t count = OpResultCount(op);
-  const int64_t deadline_rel =
-      spec_.op_timeout_nanos > 0
-          ? arrival_rel_nanos + spec_.op_timeout_nanos
-          : std::numeric_limits<int64_t>::max();
-
-  ExecOutcome out;
-  for (;;) {
-    if (breaker_ && !breaker_->AllowRequest(clock->NowNanos())) {
-      // Open breaker: the whole batch is shed unexecuted.
-      out.shed = true;
-      out.failed = true;
-      out.result = OpResult();
-      for (uint32_t i = 0; i < count; ++i) results[i] = OpResult();
-      if (shed_ != nullptr) shed_->Increment();
-      if (vclock != nullptr) {
-        vclock->AdvanceNanos(options_.virtual_shed_nanos);
-      }
-      break;
-    }
-    {
-      LSBENCH_TRACE_SPAN(tracer_, "execute");
-      LSBENCH_PROFILE_STAGE(profiler_, Stage::kExecute);
-      if (attempts_ != nullptr) attempts_->Increment();
-      exec.ExecuteBatch(op, results);
-      if (vclock != nullptr) {
-        vclock->AdvanceNanos(options_.virtual_service_nanos *
-                             static_cast<int64_t>(count));
-      }
-    }
-    // Aggregate the attempt: first non-OK element status classifies the
-    // batch; rows sum across elements.
-    uint32_t bad = count;
-    uint64_t rows = 0;
-    for (uint32_t i = 0; i < count; ++i) {
-      if (bad == count && !results[i].status.ok()) bad = i;
-      rows += results[i].rows;
-    }
-    out.result = OpResult();
-    out.result.ok = bad == count;
-    out.result.rows = rows;
-    if (bad < count) out.result.status = results[bad].status;
-
-    const int64_t now_rel = clock->NowNanos() - options_.run_start_nanos;
-    const bool past_deadline = now_rel > deadline_rel;
-    if (out.result.status.ok() && !past_deadline) {
-      if (breaker_) breaker_->RecordSuccess(clock->NowNanos());
-      break;
-    }
-    if (breaker_) breaker_->RecordFailure(clock->NowNanos());
-    if (past_deadline) {
-      out.timed_out = true;
-      out.failed = true;
-      if (timeouts_ != nullptr) timeouts_->Increment();
-      break;
-    }
-    if (out.result.status.IsTransient() && out.retries < spec_.max_retries) {
-      ++out.retries;
-      if (retries_ != nullptr) retries_->Increment();
-      LSBENCH_TRACE_SPAN(tracer_, "backoff");
-      LSBENCH_PROFILE_STAGE(profiler_, Stage::kBackoff);
-      pacer_.PaceUntil(clock->NowNanos() +
-                       backoff_.NextDelayNanos(out.retries));
-      continue;
-    }
-    out.failed = true;
-    break;
-  }
-  if (out.failed && failures_ != nullptr) failures_->Increment();
-  return out;
-}
 
 }  // namespace lsbench
 

@@ -30,7 +30,8 @@
 // Placement: on the declaration, before the return type --
 //
 //   LSBENCH_HOT_PATH
-//   ExecOutcome ExecuteOne(const Operation& op, int64_t arrival_rel_nanos);
+//   ExecOutcome ExecuteUnit(const Operation& op, int64_t arrival_rel_nanos,
+//                           OpResult* batch_results);
 //
 // Violations are reported against a committed numbered baseline
 // (tools/lint/deepcheck_baseline). One-off sanctioned reaches use an

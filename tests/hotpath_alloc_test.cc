@@ -74,8 +74,8 @@ RunSpec MakeReadOnlySpec(uint64_t num_operations) {
 }
 
 /// Batch analogue of MakeReadOnlySpec: the same element count driven as
-/// kBatchGet request units of `batch_size` keys through the monomorphized
-/// batch loop (one event per element, so the arenas see the same load).
+/// kBatchGet request units of `batch_size` keys through the executor's
+/// batch attempt (one event per element, so the arenas see the same load).
 RunSpec MakeBatchReadOnlySpec(uint64_t num_elements, uint32_t batch_size) {
   RunSpec spec = MakeReadOnlySpec(num_elements);
   spec.name = "hotpath_alloc_batch_" + std::to_string(num_elements);

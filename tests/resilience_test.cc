@@ -8,6 +8,7 @@
 #include "core/driver.h"
 #include "core/run_spec.h"
 #include "data/dataset.h"
+#include "obs/metrics_registry.h"
 #include "sut/systems.h"
 #include "util/clock.h"
 
@@ -380,6 +381,197 @@ TEST(ResilientDriverTest, ResilienceOffMatchesLegacyBehaviour) {
   EXPECT_EQ(run.metrics.resilience.shed_operations, 0u);
   EXPECT_EQ(run.metrics.resilience.breaker_opens, 0u);
   EXPECT_DOUBLE_EQ(run.metrics.resilience.availability, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Batch request units under faults, timeouts and the breaker
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kBatch = 4;
+constexpr uint64_t kBatchUnits = 50;
+
+/// `SmallSpec` drawing only kBatchGet units of `kBatch` keys.
+RunSpec BatchSpec(uint64_t seed) {
+  RunSpec spec = SmallSpec(seed, kBatchUnits);
+  spec.name = "resilience_batch_" + std::to_string(seed);
+  PhaseSpec& phase = spec.phases[0];
+  phase.mix = OperationMix();
+  phase.mix.get = 0.0;
+  phase.mix.batch_get = 1.0;
+  phase.batch_size = kBatch;
+  spec.observability.metrics = true;
+  return spec;
+}
+
+uint64_t CounterValue(const RunResult& run, const std::string& name) {
+  for (const auto& [metric, value] : run.observability.metrics.counters) {
+    if (metric == name) return value;
+  }
+  return 0;
+}
+
+/// Fails the first `failures_per_unit` ExecuteBatch attempts of every batch
+/// with a transient code on element 1 only, then serves it: even elements
+/// hit, odd elements miss (ok == false with an OK status). Counts calls so
+/// tests can see the retry loop works on whole units.
+class FlakyBatchSystem : public SystemUnderTest {
+ public:
+  explicit FlakyBatchSystem(int failures_per_unit)
+      : failures_per_unit_(failures_per_unit) {}
+
+  std::string name() const override { return "flaky_batch_system"; }
+  Status Load(const std::vector<KeyValue>&) override { return Status::OK(); }
+
+  OpResult Execute(const Operation&) override {
+    ++scalar_calls;
+    return OpResult();
+  }
+
+  void ExecuteBatch(const Operation& op, OpResult* results) override {
+    ++batch_calls;
+    const bool fail = attempt_ < failures_per_unit_;
+    attempt_ = fail ? attempt_ + 1 : 0;
+    for (uint32_t i = 0; i < op.batch_size; ++i) {
+      results[i] = OpResult();
+      if (fail) {
+        if (i == 1) results[i].status = Status::Unavailable("flaky batch");
+        continue;
+      }
+      results[i].ok = i % 2 == 0;
+      results[i].rows = results[i].ok ? 1 : 0;
+    }
+  }
+
+  SutStats GetStats() const override { return {}; }
+
+  uint64_t scalar_calls = 0;
+  uint64_t batch_calls = 0;
+
+ private:
+  int failures_per_unit_;
+  int attempt_ = 0;
+};
+
+TEST(ResilientBatchTest, TransientFailureRetriesTheWholeBatchAsOneUnit) {
+  VirtualClock clock;
+  BenchmarkDriver driver = MakeSimDriver(&clock);  // 100 us per element.
+  FlakyBatchSystem sut(/*failures_per_unit=*/2);
+  RunSpec spec = BatchSpec(21);
+  spec.resilience.max_retries = 3;
+  spec.resilience.backoff_initial_nanos = 1000;  // Then 2000; no jitter.
+
+  const RunResult run = driver.Run(spec, &sut).value();
+  // Three attempts per unit, each one ExecuteBatch call; never unbatched.
+  EXPECT_EQ(sut.batch_calls, kBatchUnits * 3);
+  EXPECT_EQ(sut.scalar_calls, 0u);
+  EXPECT_EQ(CounterValue(run, "executor.attempts"), kBatchUnits * 3);
+  EXPECT_EQ(CounterValue(run, "executor.retries"), kBatchUnits * 2);
+
+  // Closed loop: each unit spends 3 x 400 us in service plus 1 us + 2 us
+  // of backoff, all charged once to the whole unit.
+  const int64_t unit_nanos = 3 * 400000 + 1000 + 2000;
+  ASSERT_EQ(run.events.size(), kBatchUnits * kBatch);
+  for (size_t i = 0; i < run.events.size(); ++i) {
+    const OpEvent& e = run.events[i];
+    const uint64_t unit = i / kBatch;
+    EXPECT_EQ(e.type, OpType::kBatchGet);
+    EXPECT_EQ(e.batch, kBatch);
+    EXPECT_EQ(e.retries, 2);
+    EXPECT_FALSE(e.failed);
+    EXPECT_EQ(e.ok, i % 2 == 0);  // Element-level hits and misses survive.
+    EXPECT_EQ(e.rows, i % 2 == 0 ? 1u : 0u);
+    EXPECT_EQ(e.latency_nanos, unit_nanos);
+    EXPECT_EQ(e.timestamp_nanos, static_cast<int64_t>(unit + 1) * unit_nanos);
+    EXPECT_EQ(e.seq, i);
+  }
+  EXPECT_EQ(run.metrics.resilience.failed_operations, 0u);
+  EXPECT_EQ(run.metrics.resilience.total_retries, kBatchUnits * kBatch * 2);
+}
+
+TEST(ResilientBatchTest, RetriesExhaustedFailEveryElement) {
+  VirtualClock clock;
+  BenchmarkDriver driver = MakeSimDriver(&clock);
+  FlakyBatchSystem sut(/*failures_per_unit=*/1000);  // Outlasts retries.
+  RunSpec spec = BatchSpec(22);
+  spec.resilience.max_retries = 1;
+  spec.resilience.backoff_initial_nanos = 1000;
+
+  const RunResult run = driver.Run(spec, &sut).value();
+  EXPECT_EQ(sut.batch_calls, kBatchUnits * 2);
+  ASSERT_EQ(run.events.size(), kBatchUnits * kBatch);
+  for (const OpEvent& e : run.events) {
+    EXPECT_EQ(e.retries, 1);
+    EXPECT_TRUE(e.failed);
+    EXPECT_FALSE(e.ok);
+    EXPECT_FALSE(e.timed_out);
+    EXPECT_EQ(e.latency_nanos, 2 * 400000 + 1000);
+  }
+  EXPECT_EQ(CounterValue(run, "executor.failures"), kBatchUnits);
+}
+
+TEST(ResilientBatchTest, TimeoutBudgetCoversTheWholeBatch) {
+  // One element costs 100 us of virtual service, a 4-element unit 400 us.
+  // A 300 us budget would fit any scalar op but no batch: every element of
+  // every unit times out.
+  VirtualClock clock;
+  BenchmarkDriver driver = MakeSimDriver(&clock);
+  BTreeSystem sut;
+  RunSpec spec = BatchSpec(23);
+  spec.resilience.op_timeout_nanos = 300000;
+
+  const RunResult run = driver.Run(spec, &sut).value();
+  ASSERT_EQ(run.events.size(), kBatchUnits * kBatch);
+  for (const OpEvent& e : run.events) {
+    EXPECT_TRUE(e.timed_out);
+    EXPECT_TRUE(e.failed);
+    EXPECT_FALSE(e.ok);
+    EXPECT_EQ(e.latency_nanos, 400000);
+  }
+  EXPECT_EQ(run.metrics.resilience.timeouts, kBatchUnits * kBatch);
+  EXPECT_EQ(CounterValue(run, "executor.timeouts"), kBatchUnits);
+
+  // A 500 us budget fits the unit: nothing times out.
+  BTreeSystem sut2;
+  BenchmarkDriver driver2 = MakeSimDriver(&clock);
+  RunSpec relaxed = BatchSpec(24);
+  relaxed.resilience.op_timeout_nanos = 500000;
+  const RunResult run2 = driver2.Run(relaxed, &sut2).value();
+  EXPECT_EQ(run2.metrics.resilience.timeouts, 0u);
+  EXPECT_EQ(run2.metrics.resilience.failed_operations, 0u);
+}
+
+TEST(ResilientBatchTest, OpenBreakerShedsWholeBatches) {
+  // Every attempt fails (injected, no retries). The breaker's window is 4
+  // units, so units 0-3 execute and fail, the fourth failure opens it, and
+  // its 1 s cooldown outlasts the run: units 4-49 are shed unexecuted, each
+  // charged one 1 us shed step for the whole unit.
+  VirtualClock clock;
+  BenchmarkDriver driver = MakeSimDriver(&clock);
+  BTreeSystem sut;
+  RunSpec spec = BatchSpec(25);
+  FaultWindow outage;
+  outage.phase = 0;
+  outage.execute_fail_rate = 1.0;
+  spec.faults.windows = {outage};
+  spec.resilience.breaker_enabled = true;
+  spec.resilience.breaker_window_ops = 4;
+  spec.resilience.breaker_failure_threshold = 0.5;
+  spec.resilience.breaker_cooldown_nanos = 1000000000;
+
+  const RunResult run = driver.Run(spec, &sut).value();
+  ASSERT_EQ(run.events.size(), kBatchUnits * kBatch);
+  for (size_t i = 0; i < run.events.size(); ++i) {
+    const OpEvent& e = run.events[i];
+    const bool shed = i >= 4 * kBatch;
+    EXPECT_EQ(e.shed, shed) << i;
+    EXPECT_TRUE(e.failed);
+    EXPECT_FALSE(e.ok);
+    EXPECT_EQ(e.latency_nanos, shed ? 1000 : 400000) << i;
+  }
+  EXPECT_EQ(run.metrics.resilience.breaker_opens, 1u);
+  EXPECT_EQ(run.metrics.resilience.shed_operations, (kBatchUnits - 4) * kBatch);
+  EXPECT_EQ(run.fault_stats.injected_failures, 4u);
+  EXPECT_EQ(CounterValue(run, "executor.shed"), kBatchUnits - 4);
 }
 
 TEST(ResilientDriverTest, FailedTrainingIsRecorded) {

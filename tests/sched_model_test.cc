@@ -218,7 +218,7 @@ struct MergeFixture {
       op.type = OpType::kGet;
       op.key = static_cast<Key>(w) * 2 + 1 + i;
       const int64_t arrival = static_cast<int64_t>(i) * 50000;
-      const ExecOutcome out = worker.exec->ExecuteOne(op, arrival);
+      const ExecOutcome out = worker.exec->ExecuteUnit(op, arrival, nullptr);
       OpEvent ev;
       ev.timestamp_nanos = worker.clock->NowNanos();
       ev.latency_nanos = ev.timestamp_nanos - arrival;

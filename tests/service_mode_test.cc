@@ -182,6 +182,33 @@ class SlowSimSut final : public SystemUnderTest {
   size_t loaded_ = 0;
 };
 
+/// Batch twin of SlowSimSut: a whole ExecuteBatch call takes exactly
+/// 100 us of virtual time, however many elements it serves. Counts scalar
+/// calls so a test can prove batches are never unbatched.
+class SlowBatchSimSut final : public SystemUnderTest {
+ public:
+  explicit SlowBatchSimSut(VirtualClock* clock) : clock_(clock) {}
+  std::string name() const override { return "slow_batch_sim"; }
+  Status Load(const std::vector<KeyValue>&) override { return Status::OK(); }
+  OpResult Execute(const Operation&) override {
+    ++scalar_calls;
+    return OpResult();
+  }
+  void ExecuteBatch(const Operation& op, OpResult* results) override {
+    clock_->AdvanceNanos(100000);
+    for (uint32_t i = 0; i < op.batch_size; ++i) {
+      results[i] = OpResult();
+      results[i].ok = true;
+    }
+  }
+  SutStats GetStats() const override { return {}; }
+
+  uint64_t scalar_calls = 0;
+
+ private:
+  VirtualClock* clock_;
+};
+
 RunSpec MakeOverloadSpec() {
   RunSpec spec;
   spec.name = "service_overload_handcomputed";
@@ -290,6 +317,65 @@ TEST(ServiceModeTest, OverloadMatchesHandComputedSchedule) {
   EXPECT_EQ(CounterValue(metrics, "service.shed"), 199u);
   EXPECT_EQ(GaugeValue(metrics, "service.queue_peak_depth"), 1);
   EXPECT_EQ(GaugeValue(metrics, "service.queue_depth"), 0);
+}
+
+TEST(ServiceModeTest, BatchOverloadShedsWholeUnits) {
+  // The hand-computed schedule above with every arrival a 4-key kBatchGet
+  // unit whose ExecuteBatch takes the same 100 us as one scalar op: the
+  // queue admits and sheds *units*, so 201 units execute and 199 shed, and
+  // a shed unit records one queue_shed event per element at the instant
+  // of the decision.
+  VirtualClock clock;
+  DriverOptions options;
+  options.virtual_clock = &clock;
+  options.virtual_service_nanos = 0;  // The SUT advances time itself.
+  BenchmarkDriver driver(&clock, options);
+  SlowBatchSimSut sut(&clock);
+  RunSpec spec = MakeOverloadSpec();
+  spec.name = "service_overload_batch_handcomputed";
+  spec.phases[0].mix.get = 0.0;
+  spec.phases[0].mix.batch_get = 1.0;
+  spec.phases[0].batch_size = 4;
+  const Result<RunResult> result = driver.Run(spec, &sut);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const RunResult& run = result.value();
+  EXPECT_EQ(sut.scalar_calls, 0u);
+
+  ASSERT_EQ(run.events.size(), 1600u);
+  uint64_t shed = 0;
+  for (size_t i = 0; i < run.events.size(); ++i) {
+    const OpEvent& event = run.events[i];
+    // Units stay contiguous: the four elements of a unit share its
+    // timestamps and outcome.
+    const OpEvent& head = run.events[i - i % 4];
+    EXPECT_EQ(event.type, OpType::kBatchGet);
+    EXPECT_EQ(event.batch, 4u);
+    EXPECT_EQ(event.timestamp_nanos, head.timestamp_nanos);
+    EXPECT_EQ(event.issue_nanos, head.issue_nanos);
+    EXPECT_EQ(event.queue_shed, head.queue_shed);
+    if (event.queue_shed) {
+      ++shed;
+      EXPECT_TRUE(event.failed);
+      EXPECT_FALSE(event.ok);
+      EXPECT_EQ(event.latency_nanos, 0);
+    } else {
+      EXPECT_TRUE(event.ok);
+      EXPECT_EQ(event.timestamp_nanos - event.issue_nanos, 100000);
+      EXPECT_TRUE(event.latency_nanos == 100000 ||
+                  event.latency_nanos == 150000)
+          << event.latency_nanos;
+    }
+  }
+  EXPECT_EQ(shed, 199u * 4);
+
+  const ServiceMetrics& sm = run.metrics.service;
+  EXPECT_EQ(sm.open_loop_operations, 1600u);
+  EXPECT_EQ(sm.queue_shed_operations, 199u * 4);
+  const MetricsSnapshot& metrics = run.observability.metrics;
+  EXPECT_EQ(CounterValue(metrics, "service.admitted"), 201u);
+  EXPECT_EQ(CounterValue(metrics, "service.shed"), 199u);
+  EXPECT_EQ(CounterValue(metrics, "executor.attempts"), 201u);
+  EXPECT_EQ(GaugeValue(metrics, "service.queue_peak_depth"), 1);
 }
 
 TEST(ServiceModeTest, ClosedLoopRunsReportNoOpenLoopOperations) {

@@ -122,8 +122,8 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, TraceDeterminismTest,
 class BatchDeterminismTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(BatchDeterminismTest, BatchRunsAreByteIdentical) {
-  // The batch dispatch path (kBatchGet/kBatchPut through the monomorphized
-  // executor, bulk-recorded into the event arena) is held to the same
+  // The batch dispatch path (kBatchGet/kBatchPut as one executor request
+  // unit, bulk-recorded into the event arena) is held to the same
   // reproducibility bar as the scalar path: two independent runs of
   // specs/batch_demo.lsb produce byte-identical merged event and trace
   // streams, at workers = 1 and workers = 4 alike.

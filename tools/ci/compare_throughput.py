@@ -10,8 +10,8 @@ committed BENCH_throughput.json and fails (exit 1) when:
     (default 10%) below its committed ops/s — the tracked "don't slow
     down the per-op dispatch path" rule, or
   * the fresh btree workers=4 batch-over-scalar speedup dropped below
-    --min-speedup (default 3.0) — the monomorphized batch loop must
-    keep earning its keep.
+    --min-speedup (default 3.0) — the batch request unit must keep
+    amortizing the per-request dispatch cost.
 
 Batch absolute throughput is reported but not gated on machine-to-machine
 absolute numbers beyond the speedup ratio: ratios are stable across
