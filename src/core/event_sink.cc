@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "util/shard_merge.h"
+
 namespace lsbench {
 
 // lsbench-deepcheck: allow(hot-alloc, hot-throw)
@@ -19,26 +21,14 @@ void EventSink::RecordSlow(const OpEvent& event) {
 }
 
 EventStream MergeEventShards(std::vector<EventStream> shards) {
-  if (shards.empty()) return {};
-  if (shards.size() == 1) return std::move(shards[0]);
-
-  size_t total = 0;
-  for (const EventStream& s : shards) total += s.size();
-  EventStream merged;
-  merged.reserve(total);
-  for (EventStream& s : shards) {
-    merged.insert(merged.end(), s.begin(), s.end());
-    s.clear();
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const OpEvent& a, const OpEvent& b) {
-              if (a.timestamp_nanos != b.timestamp_nanos) {
-                return a.timestamp_nanos < b.timestamp_nanos;
-              }
-              if (a.worker != b.worker) return a.worker < b.worker;
-              return a.seq < b.seq;
-            });
-  return merged;
+  return MergeSortedShards(
+      std::move(shards), [](const OpEvent& a, const OpEvent& b) {
+        if (a.timestamp_nanos != b.timestamp_nanos) {
+          return a.timestamp_nanos < b.timestamp_nanos;
+        }
+        if (a.worker != b.worker) return a.worker < b.worker;
+        return a.seq < b.seq;
+      });
 }
 
 std::string SerializeEventStream(const EventStream& events) {

@@ -117,8 +117,13 @@ class EventSink {
 /// Merges per-worker event shards into one stream ordered by
 /// (timestamp, worker, seq). The tie-break on provenance makes the merged
 /// order a pure function of the shards' contents — two runs with identical
-/// shards merge identically no matter how threads interleaved. A single
-/// already-ordered shard passes through unchanged.
+/// shards merge identically no matter how threads interleaved.
+///
+/// Each sink records in completion order and stamps `seq` at record time,
+/// so every shard arrives in (timestamp, seq) order and the merge is a
+/// linear k-way merge of the shard heads (MergeSortedShards). A shard that
+/// breaks that order is sorted first, so any input still yields the sorted
+/// permutation. A single shard passes through unchanged.
 EventStream MergeEventShards(std::vector<EventStream> shards);
 
 /// Canonical one-line-per-event text form of a merged stream. Two runs

@@ -21,6 +21,7 @@ struct CumulativePoint {
 
 /// Samples the cumulative completed-queries curve at interval boundaries.
 /// `events` must be sorted by timestamp (the driver emits them sorted).
+/// Runs the same fold ComputeRunMetrics uses for RunMetrics::cumulative.
 std::vector<CumulativePoint> BuildCumulativeCurve(const EventStream& events,
                                                   int64_t interval_nanos);
 
@@ -46,6 +47,7 @@ struct LatencyBand {
 
 /// Buckets completions into `interval_nanos` bands split by the SLA
 /// threshold. Empty trailing intervals are preserved up to the last event.
+/// Runs the same fold ComputeRunMetrics uses for RunMetrics::bands.
 std::vector<LatencyBand> BuildSlaBands(const EventStream& events,
                                        int64_t interval_nanos,
                                        int64_t sla_nanos);
@@ -238,12 +240,25 @@ struct ShardAccumulation {
   /// Folds one event in. `sla_nanos` must be the run's resolved threshold.
   void Accumulate(const OpEvent& event, int64_t sla_nanos);
 
+  /// Everything Accumulate folds except the SLA violation count, for a
+  /// caller that learns the threshold only after a first pass over the
+  /// events (ComputeRunMetrics under an auto-calibrated SLA).
+  void AccumulateSlaFree(const OpEvent& event);
+
   /// Adds another shard's aggregates into this one.
   void Merge(const ShardAccumulation& other);
 };
 
 /// Computes the full metric suite. `events` must be sorted by timestamp and
 /// each event's phase must match one of `boundaries`.
+///
+/// One fold over the stream feeds every accumulator in event order (run
+/// totals, cumulative curve, SLA bands, op-type rollup, per-phase boxes),
+/// so the cost is linear in the event count. With a fixed SLA
+/// (`options.sla_nanos > 0`) that is the only pass. An auto-calibrated SLA
+/// is an order statistic of phase 0's latencies, so the SLA-dependent
+/// counts (violations, adjustment excess, bands) take a second pass once
+/// the first has gathered them.
 RunMetrics ComputeRunMetrics(const EventStream& events,
                              const std::vector<PhaseBoundary>& boundaries,
                              const MetricsOptions& options);

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <utility>
+
+#include "util/shard_merge.h"
 
 namespace lsbench {
 namespace {
@@ -30,20 +33,11 @@ void Tracer::RecordSlow(const TraceSpan& span) {
 }
 
 TraceStream MergeTraceShards(std::vector<TraceStream> shards) {
-  if (shards.empty()) return {};
-  if (shards.size() == 1) return std::move(shards[0]);
-  size_t total = 0;
-  for (const TraceStream& shard : shards) total += shard.size();
-  TraceStream merged;
-  merged.reserve(total);
-  for (TraceStream& shard : shards) {
-    merged.insert(merged.end(), shard.begin(), shard.end());
-  }
-  // Each shard is already in (start, seq) order for its single worker, so a
-  // k-way merge would do; stable_sort keeps the code aligned with
-  // MergeEventShards and the cost is off the hot path.
-  std::stable_sort(merged.begin(), merged.end(), SpanBefore);
-  return merged;
+  // Each shard is already in (start, seq) order for its single worker: its
+  // spans never nest, so they start in the order they close. The k-way
+  // merge keeps the result equal to a stable sort of the concatenation for
+  // any input.
+  return MergeSortedShards(std::move(shards), SpanBefore);
 }
 
 std::string SerializeTrace(const TraceStream& trace) {

@@ -139,7 +139,8 @@ class ScopedSpan {
 
 /// Merges per-worker span shards into one stream ordered by
 /// (start, worker, seq) — the event-shard merge discipline applied to
-/// traces. A single already-ordered shard passes through unchanged.
+/// traces, through the same k-way merge (MergeSortedShards). A single
+/// already-ordered shard passes through unchanged.
 TraceStream MergeTraceShards(std::vector<TraceStream> shards);
 
 /// Canonical one-line-per-span text form. Byte-identical across runs

@@ -13,6 +13,8 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,6 +145,137 @@ TEST(MergePermutation, TraceShardsMergeByteIdentically) {
                              std::move(permuted))))
         << "shard order changed the merged trace";
   });
+}
+
+// --- Oracle: k-way merge against concatenate-then-sort ---------------------
+
+// Random shards for the oracle cases: `workers` shards of uneven size summing
+// to about `total` events, timestamps drawn from a narrow range so ties are
+// heavy within and across shards, every third shard empty when
+// `with_empty` is set, and shard `shuffled` (if in range) deliberately out
+// of order.
+std::vector<EventStream> RandomEventShards(Rng& rng, size_t workers,
+                                           size_t total, bool with_empty,
+                                           size_t shuffled) {
+  std::vector<EventStream> shards(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    if (with_empty && w % 3 == 1) continue;
+    const size_t n = rng.NextBounded(2 * total / workers + 1);
+    int64_t ts = 0;
+    for (size_t i = 0; i < n; ++i) {
+      ts += static_cast<int64_t>(rng.NextBounded(3));  // Mostly ties.
+      OpEvent e;
+      e.timestamp_nanos = ts;
+      e.latency_nanos = static_cast<int64_t>(rng.NextBounded(5000));
+      e.issue_nanos = ts - e.latency_nanos;
+      e.phase = static_cast<int32_t>(rng.NextBounded(3));
+      e.ok = rng.NextBounded(4) != 0;
+      e.rows = rng.NextBounded(8);
+      e.batch = 1 + static_cast<uint32_t>(rng.NextBounded(2));
+      e.worker = static_cast<uint32_t>(w);
+      e.seq = i;
+      shards[w].push_back(e);
+    }
+    if (w == shuffled) {
+      for (size_t i = shards[w].size(); i > 1; --i) {
+        std::swap(shards[w][i - 1], shards[w][rng.NextBounded(i)]);
+      }
+    }
+  }
+  return shards;
+}
+
+// The first line where two serialized streams differ, or "" when they are
+// identical. The oracle streams run to megabytes, too large for gtest's
+// string diff, so failures report this one line instead.
+std::string FirstDifference(const std::string& got, const std::string& want) {
+  if (got == want) return "";
+  const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(),
+                                    want.end());
+  const auto line_of = [](const std::string& text,
+                          std::string::const_iterator at) {
+    const size_t pos = static_cast<size_t>(at - text.begin());
+    const size_t begin = text.rfind('\n', pos == 0 ? 0 : pos - 1);
+    const size_t start = begin == std::string::npos ? 0 : begin + 1;
+    return text.substr(start, text.find('\n', pos) - start);
+  };
+  return "got '" + line_of(got, g) + "', want '" + line_of(want, w) + "'";
+}
+
+bool EventBefore(const OpEvent& a, const OpEvent& b) {
+  return std::make_tuple(a.timestamp_nanos, a.worker, a.seq) <
+         std::make_tuple(b.timestamp_nanos, b.worker, b.seq);
+}
+
+TEST(MergeOracle, EventMergeEqualsConcatenateThenSort) {
+  Rng rng(9090);
+  for (size_t workers = 2; workers <= 8; ++workers) {
+    for (const bool with_empty : {false, true}) {
+      // Out of order: none, the first shard, or a middle one.
+      for (const size_t shuffled : {workers, size_t{0}, workers / 2}) {
+        const std::vector<EventStream> shards = RandomEventShards(
+            rng, workers, 100000 / workers, with_empty, shuffled);
+        EventStream oracle;
+        for (const EventStream& shard : shards) {
+          oracle.insert(oracle.end(), shard.begin(), shard.end());
+        }
+        std::sort(oracle.begin(), oracle.end(), EventBefore);
+        const std::string merged =
+            SerializeEventStream(MergeEventShards(shards));
+        EXPECT_EQ(FirstDifference(merged, SerializeEventStream(oracle)), "")
+            << workers << " workers, empty shards " << with_empty
+            << ", shuffled shard " << shuffled;
+      }
+    }
+  }
+}
+
+TEST(MergeOracle, TraceMergeEqualsConcatenateThenStableSort) {
+  static const char* const kNames[] = {"execute", "backoff", "phase"};
+  const auto before = [](const TraceSpan& a, const TraceSpan& b) {
+    return std::make_tuple(a.start_nanos, a.worker, a.seq) <
+           std::make_tuple(b.start_nanos, b.worker, b.seq);
+  };
+  Rng rng(9191);
+  for (size_t workers = 2; workers <= 8; ++workers) {
+    for (const size_t shuffled : {workers, size_t{1}}) {
+      std::vector<TraceStream> shards(workers);
+      for (size_t w = 0; w < workers; ++w) {
+        if (w % 3 == 2) continue;  // Some empty shards.
+        // The last shard reuses worker 0's id: its spans tie worker 0's on
+        // every key field, and only the stable shard order separates them.
+        const uint32_t worker = w + 1 == workers && workers > 2
+                                    ? 0
+                                    : static_cast<uint32_t>(w);
+        const size_t n = rng.NextBounded(2 * 100000 / workers + 1);
+        int64_t start = 0;
+        for (size_t i = 0; i < n; ++i) {
+          start += static_cast<int64_t>(rng.NextBounded(3));
+          TraceSpan span;
+          span.name = kNames[rng.NextBounded(3)];
+          span.start_nanos = start;
+          span.end_nanos = start + static_cast<int64_t>(rng.NextBounded(90));
+          span.phase = static_cast<int32_t>(rng.NextBounded(3));
+          span.worker = worker;
+          span.seq = i;
+          shards[w].push_back(span);
+        }
+        if (w == shuffled) {
+          for (size_t i = shards[w].size(); i > 1; --i) {
+            std::swap(shards[w][i - 1], shards[w][rng.NextBounded(i)]);
+          }
+        }
+      }
+      TraceStream oracle;
+      for (const TraceStream& shard : shards) {
+        oracle.insert(oracle.end(), shard.begin(), shard.end());
+      }
+      std::stable_sort(oracle.begin(), oracle.end(), before);
+      const std::string merged = SerializeTrace(MergeTraceShards(shards));
+      EXPECT_EQ(FirstDifference(merged, SerializeTrace(oracle)), "")
+          << workers << " workers, shuffled shard " << shuffled;
+    }
+  }
 }
 
 // --- Metrics shards ---------------------------------------------------------
